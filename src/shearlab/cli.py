@@ -24,7 +24,7 @@ DEFAULT_SEED = 20260825
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
 def _load_graph(spec: str) -> FatGraph:
@@ -233,6 +233,7 @@ _SUITES = {
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -258,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="identity check suites")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--graph", default="torus")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cases", type=int, default=25)
 
@@ -331,6 +331,8 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "check":
+            if args.cases < 0:
+                raise ValueError(f"--cases must be non-negative, got {args.cases}")
             reports = _SUITES[args.suite](args.seed, args.cases)
             failed = [r for r in reports if not r.get("equal", False)]
             _emit({"reports": reports, "seed": args.seed, "status": "pass" if not failed else "fail"})
@@ -346,7 +348,7 @@ def run(argv=None) -> int:
             _emit(rep)
             return 0 if rep["equal"] else 1
 
-    except (FatGraphError, PathError, QuantumError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FatGraphError, PathError, QuantumError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -2,10 +2,11 @@
 
 An ``ExpPoly`` is a finite sum ``sum_m c_m exp((m . z)/2)`` where ``m`` runs
 over integer exponent vectors (units of z/2) and the coefficients ``c_m`` are
-exact rationals.  A ``QExpPoly`` carries the same exponent vectors but its
-coefficients are integer Laurent polynomials in the formal unit ``rho``
-(``rho**4 = q``).  The Poisson bracket and the noncommutative product are both
-induced by an antisymmetric integer matrix ``omega`` on the edge labels:
+ints; a ``Fraction`` appears only where the bracket's 1/4 or a scalar such as
+Goldman's 1/2 leaves a denominator.  A ``QExpPoly`` carries the same exponent
+vectors but its coefficients are integer Laurent polynomials in the formal
+unit ``rho`` (``rho**4 = q``).  The Poisson bracket and the noncommutative
+product are both induced by an antisymmetric integer matrix ``omega``:
 
     {e^{m.z/2}, e^{n.z/2}} = (1/4) (m^T omega n) e^{(m+n).z/2}
     e^{m.Z/2} o e^{n.Z/2}  = rho^{-(m^T omega n)} e^{(m+n).Z/2}
@@ -18,14 +19,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 
-def _as_fraction(c) -> Fraction:
+def _as_coefficient(c) -> int | Fraction:
+    """An exact coefficient: ``int`` for integral values (``Fraction(n, 1)`` too)."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
@@ -45,11 +48,11 @@ class DimensionMismatch(ValueError):
 
 
 class ExpPoly:
-    """Finite map from integer exponent vectors to exact rational coefficients."""
+    """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.dim = dim
         clean = {}
         if terms:
@@ -57,9 +60,9 @@ class ExpPoly:
                 m = tuple(int(x) for x in m)
                 if len(m) != dim:
                     raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
-                c = _as_fraction(c)
+                c = _as_coefficient(c)
                 if c:
-                    clean[m] = clean.get(m, Fraction(0)) + c
+                    clean[m] = clean.get(m, 0) + c
                     if not clean[m]:
                         del clean[m]
         self.terms = clean
@@ -72,12 +75,12 @@ class ExpPoly:
 
     @classmethod
     def const(cls, dim: int, c) -> "ExpPoly":
-        return cls(dim, {(0,) * dim: _as_fraction(c)})
+        return cls(dim, {(0,) * dim: _as_coefficient(c)})
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "ExpPoly":
         m = tuple(int(x) for x in m)
-        return cls(len(m), {m: _as_fraction(c)})
+        return cls(len(m), {m: _as_coefficient(c)})
 
     # -- ring structure ----------------------------------------------------
 
@@ -91,7 +94,7 @@ class ExpPoly:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -118,17 +121,17 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_coefficient(other)
             out = ExpPoly(self.dim)
             if c:
-                out.terms = {m: a * c for m, a in self.terms.items()}
+                out.terms = {m: _as_coefficient(a * c) for m, a in self.terms.items()}
             return out
         self._check(other)
-        terms: dict[tuple, Fraction] = {}
+        terms = {}
         for m, a in self.terms.items():
             for n, b in other.terms.items():
-                k = tuple(mi + ni for mi, ni in zip(m, n))
-                s = terms.get(k, Fraction(0)) + a * b
+                k = tuple(map(add, m, n))
+                s = terms.get(k, 0) + a * b
                 if s:
                     terms[k] = s
                 else:
@@ -139,6 +142,12 @@ class ExpPoly:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def shift(self, i: int, s: int) -> "ExpPoly":
+        """The product with the monomial e^{s z_i/2}: exponent i of every term moves by s."""
+        out = ExpPoly(self.dim)
+        out.terms = {m[:i] + (m[i] + s,) + m[i + 1 :]: c for m, c in self.terms.items()}
+        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -155,14 +164,15 @@ class ExpPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the lexicographically largest exponent vector."""
+    def leading_coefficient(self) -> int | Fraction:
+        """Coefficient (``int | Fraction``) of the lexicographically largest exponent."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[max(self.terms)]
 
-    def coefficient(self, m: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+    def coefficient(self, m: Iterable[int]) -> int | Fraction:
+        """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent."""
+        return self.terms.get(tuple(m), 0)
 
     def evaluate(self, z_values) -> float:
         """Substitute real label values and return the real value."""
@@ -196,22 +206,22 @@ class ExpPoly:
 
 
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
-    """Edge-form Poisson bracket extended to exponentials by Leibniz."""
+    """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term."""
     f._check(g)
-    terms: dict[tuple, Fraction] = {}
+    terms = {}
     for m, a in f.terms.items():
         for n, b in g.terms.items():
             k = pairing(m, n, omega)
             if not k:
                 continue
-            key = tuple(mi + ni for mi, ni in zip(m, n))
-            s = terms.get(key, Fraction(0)) + Fraction(k, 4) * a * b
+            key = tuple(map(add, m, n))
+            s = terms.get(key, 0) + k * a * b
             if s:
                 terms[key] = s
             else:
                 terms.pop(key, None)
     out = ExpPoly(f.dim)
-    out.terms = terms
+    out.terms = {m: _as_coefficient(Fraction(s, 4)) for m, s in terms.items()}
     return out
 
 
@@ -224,7 +234,7 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for n, c in coeffs.items():
-                c = _as_fraction(c)
+                c = _as_coefficient(c)
                 if c:
                     clean[int(n)] = c
         self.coeffs = clean
@@ -242,7 +252,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         coeffs = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            s = coeffs.get(n, Fraction(0)) + c
+            s = coeffs.get(n, 0) + c
             if s:
                 coeffs[n] = s
             else:
@@ -269,10 +279,10 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
-        coeffs: dict[int, Fraction] = {}
+        coeffs = {}
         for n, a in self.coeffs.items():
             for k, b in other.coeffs.items():
-                s = coeffs.get(n + k, Fraction(0)) + a * b
+                s = coeffs.get(n + k, 0) + a * b
                 if s:
                     coeffs[n + k] = s
                 else:
@@ -299,19 +309,19 @@ class LaurentPoly:
         out.coeffs = {-n: c for n, c in self.coeffs.items()}
         return out
 
-    def at_one(self) -> Fraction:
-        """Specialize rho = 1."""
-        return sum(self.coeffs.values(), Fraction(0))
+    def at_one(self) -> int | Fraction:
+        """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
+        return sum(self.coeffs.values())
 
     def is_scalar_multiple_of_one(self) -> bool:
         return set(self.coeffs) <= {0}
 
-    def classical_derivative(self) -> Fraction:
+    def classical_derivative(self) -> int | Fraction:
         """(1/(2 pi i)) d/dhbar at hbar=0 of sum_n c_n rho^n with rho = e^{-i pi hbar/4}.
 
         Each rho^n contributes -n/8 at hbar = 0.
         """
-        return sum((Fraction(-n, 8) * c for n, c in self.coeffs.items()), Fraction(0))
+        return _as_coefficient(Fraction(sum(-n * c for n, c in self.coeffs.items()), 8))
 
     def sorted_terms(self):
         return sorted(self.coeffs.items())
@@ -457,7 +467,7 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     for m, a in f.terms.items():
         for n, b in g.terms.items():
             k = pairing(m, n, omega)
-            key = tuple(mi + ni for mi, ni in zip(m, n))
+            key = tuple(map(add, m, n))
             contrib = a * b * LaurentPoly.rho_power(-k)
             s = terms.get(key, LaurentPoly()) + contrib
             if s:

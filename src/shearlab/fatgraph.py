@@ -9,6 +9,7 @@ faces are the orbits of ``d -> sigma(opposite(d))``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,8 +188,11 @@ class FatGraph:
 
     @classmethod
     def from_json(cls, data) -> "FatGraph":
-        if not isinstance(data, dict) or "sigma" not in data or "z" not in data:
-            raise FatGraphError('graph JSON must be an object with "sigma" and "z"')
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("sigma", "z")):
+            raise FatGraphError('graph JSON must be an object with "sigma" and "z" lists')
+        for x in data["z"]:
+            if not isinstance(x, (int, float)) or not math.isfinite(x):
+                raise FatGraphError(f"label {x!r} is not a finite number")
         return cls(data["sigma"], data["z"])
 
     @classmethod

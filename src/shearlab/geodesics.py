@@ -73,34 +73,8 @@ def graph_simple(path) -> bool:
 # -- 2x2 matrices over ExpPoly ------------------------------------------------
 
 
-def _c(dim, v):
-    return ExpPoly.const(dim, v)
-
-
-def turn_matrix(dim: int, turn: str):
-    if turn == "L":
-        return ((_c(dim, 0), _c(dim, 1)), (_c(dim, -1), _c(dim, -1)))
-    if turn == "R":
-        return ((_c(dim, 1), _c(dim, 1)), (_c(dim, -1), _c(dim, 0)))
-    raise PathError(f"unknown turn {turn!r}")
-
-
-def edge_matrix(dim: int, e: int):
-    up = [0] * dim
-    up[e] = 1
-    down = [0] * dim
-    down[e] = -1
-    return (
-        (_c(dim, 0), ExpPoly.monomial(up, -1)),
-        (ExpPoly.monomial(down, 1), _c(dim, 0)),
-    )
-
-
 def mat_mul(A, B):
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(2)), start=A[i][0] * 0) for j in range(2))
-        for i in range(2)
-    )
+    return tuple(tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)) for i in range(2))
 
 
 def mat_trace(A) -> ExpPoly:
@@ -125,15 +99,24 @@ def mat_eq(A, B) -> bool:
 
 
 def path_matrix(g: FatGraph, path):
-    """T_n X_{e_n} ... T_1 X_{e_1} for the path's darts and turns."""
+    """T_n X_{e_n} ... T_1 X_{e_1} for the path's darts and turns.
+
+    With h = e^{z_e/2}, L X_e = [[1/h, 0], [-1/h, h]] and R X_e = [[1/h, -h], [0, h]]:
+    each step shifts the top row by -1 and the bottom row by +1 in coordinate e,
+    then subtracts one shifted row from the other.
+    """
     path = validate_path(g, path)
     turns = turn_sequence(g, path)
-    dim = g.n_edges
-    M = None
-    for d, t in zip(path, turns):
-        factor = mat_mul(turn_matrix(dim, t), edge_matrix(dim, edge_of(d)))
-        M = factor if M is None else mat_mul(factor, M)
-    return M
+    one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
+    top, bottom = (one, zero), (zero, one)
+    for e, t in zip(map(edge_of, path), turns):
+        top = tuple(x.shift(e, -1) for x in top)
+        bottom = tuple(x.shift(e, 1) for x in bottom)
+        if t == "L":  # -x + y keeps the generic product's term order, which evaluate() sums in
+            bottom = tuple(-x + y for x, y in zip(top, bottom))
+        else:
+            top = tuple(x - y for x, y in zip(top, bottom))
+    return top, bottom
 
 
 def normalized_path_matrix(g: FatGraph, path):

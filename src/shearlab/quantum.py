@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def qcommutator_check(g: FatGraph, A: QGeodesic, B: QGeodesic) -> dict:
     if proportional:
         m0 = min(weyl_abinv.terms)
         w0 = weyl_abinv.terms[m0].at_one()  # rho-free by construction
-        c_rho = qcomm.coefficient(m0) * (1 / w0)
+        c_rho = qcomm.coefficient(m0) * (Fraction(1) / w0)
         proportional = qcomm == weyl_abinv.scale(c_rho)
     q_minus_qinv = LaurentPoly({4: 1, -4: -1})
     qhalf_minus = LaurentPoly({2: 1, -2: -1})

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from shearlab.cli import run
+from shearlab.cli import _emit, run
 from shearlab.fatgraph import once_punctured_torus
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -144,3 +147,59 @@ def test_stdout_is_json_only(capsys):
         code, out, _ = _run(capsys, *argv)
         assert code == 0
         json.loads(out)  # single JSON document
+
+
+# -- input and output boundaries ---------------------------------------------
+
+
+def test_geodesic_eval_rejects_non_finite_label(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": [1e400, 0, 0]}')
+    code, out, err = _run(capsys, "geodesic", "eval", str(path), "--path", "0,5")
+    assert code == 2 and out == "" and "not a finite number" in err
+
+
+def test_graph_labels_must_be_a_list(tmp_path, capsys):
+    path = tmp_path / "z5.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": 5}')
+    code, out, err = _run(capsys, "graph", "validate", str(path))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_geodesic_eval_overflow_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": [2000, 0, 0]}')
+    code, out, err = _run(capsys, "geodesic", "eval", str(path), "--path", "0,5")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_emit_is_strict_json(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        _emit({"value": float("inf")})
+    # finite labels whose perimeter overflows must not print Infinity
+    path = tmp_path / "huge.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": [1e308, 1e308, 1e308]}')
+    code, out, err = _run(capsys, "graph", "info", str(path))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_check_negative_cases_is_usage_error(capsys):
+    code, out, err = _run(capsys, "check", "skein", "--cases", "-1")
+    assert code == 2 and out == "" and "negative" in err
+
+
+def test_check_has_no_graph_option(capsys):
+    code, out, _ = _run(capsys, "check", "skein", "--graph", "tetrahedron")
+    assert code == 2 and out == ""
+
+
+# -- golden output ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("suite", ["skein", "goldman", "qskein"])
+def test_check_output_matches_golden(capsys, suite):
+    # the exact suites only: float residuals may differ in the last digits
+    # between libm builds
+    code, out, _ = _run(capsys, "check", suite)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{suite}.json").read_bytes()

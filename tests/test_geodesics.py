@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shearlab.exppoly import ExpPoly
-from shearlab.fatgraph import once_punctured_torus, tetrahedron
+from shearlab.fatgraph import edge_of, once_punctured_torus, tetrahedron
 from shearlab.geodesics import (
     TORUS_A,
     TORUS_ABINV,
@@ -118,12 +118,51 @@ def test_trace_cyclic_rotation_invariant():
 
 
 def test_positive_laurent_signs():
-    # every graph-simple trace has positive coefficients after normalization
+    # every trace has positive integer coefficients after normalization (Fock)
     rng = random.Random(23)
-    for _ in range(40):
-        p = random_closed_path(TORUS, rng)
-        tr = geodesic_function(TORUS, p)
-        assert all(c > 0 for c in tr.terms.values())
+    for g in (TORUS, TET):
+        for _ in range(40):
+            p = random_closed_path(g, rng)
+            tr = geodesic_function(g, p)
+            assert all(c > 0 for c in tr.terms.values())
+            assert all(type(c) is int for c in tr.terms.values())
+
+
+def _reference_path_matrix(g, path):
+    """The generic product of full 2x2 ExpPoly matrices, one T X_e factor per dart."""
+    dim = g.n_edges
+
+    def const(v):
+        return ExpPoly.const(dim, v)
+
+    def mul(A, B):
+        return tuple(
+            tuple(sum((A[i][k] * B[k][j] for k in range(2)), start=const(0)) for j in range(2))
+            for i in range(2)
+        )
+
+    turns = {"L": ((0, 1), (-1, -1)), "R": ((1, 1), (-1, 0))}
+    M = ((const(1), const(0)), (const(0), const(1)))
+    for d, t in zip(path, turn_sequence(g, path)):
+        up = [0] * dim
+        up[edge_of(d)] = 1
+        X = (
+            (const(0), ExpPoly.monomial(up, -1)),
+            (ExpPoly.monomial([-u for u in up], 1), const(0)),
+        )
+        T = tuple(tuple(const(v) for v in row) for row in turns[t])
+        M = mul(mul(T, X), M)
+    return M
+
+
+def test_path_matrix_matches_generic_product():
+    rng = random.Random(29)
+    for g in (TORUS, TET):
+        for _ in range(30):
+            p = random_closed_path(g, rng, 2, 12)
+            M = path_matrix(g, p)
+            assert mat_eq(M, _reference_path_matrix(g, p))
+            assert mat_det(M) == 1
 
 
 # -- identities ---------------------------------------------------------------
