@@ -16,7 +16,7 @@ import numpy as np
 
 from . import flips, geodesics, quantum
 from .exppoly import poisson_bracket
-from .fatgraph import FatGraph, FatGraphError, once_punctured_torus, tetrahedron
+from .fatgraph import FatGraph, FatGraphError, TopologyReport, once_punctured_torus, tetrahedron
 from .geodesics import PathError
 from .quantum import QDilogParams, QuantumError
 
@@ -27,12 +27,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
-def _load_graph(spec: str) -> FatGraph:
+def _load_graph(spec: str) -> tuple[FatGraph, TopologyReport]:
+    """The built-in or stored graph, validated once for every command, and its topology."""
     if spec == "torus":
-        return once_punctured_torus()
-    if spec == "tetrahedron":
-        return tetrahedron()
-    return FatGraph.load(spec)
+        g = once_punctured_torus()
+    elif spec == "tetrahedron":
+        g = tetrahedron()
+    else:
+        g = FatGraph.load(spec)
+    return g, g.validate()
 
 
 def _parse_path(text: str):
@@ -121,61 +124,41 @@ def _suite_casimir(seed: int, cases: int):
     return reports
 
 
+def _summary(name: str, reports) -> dict:
+    """One report for a loop of float checks: how many, the worst residual, all equal."""
+    return {
+        "name": name,
+        "cases": len(reports),
+        "residual": max([0.0] + [r["residual"] for r in reports]),
+        "equal": all(r["equal"] for r in reports),
+    }
+
+
 def _suite_relations(seed: int, cases: int):
     rng = random.Random(seed)
-    reports = []
-    worst_inv = 0.0
-    ok_inv = True
-    for _ in range(cases):
-        g = once_punctured_torus(_seeded_labels(rng, 3))
-        rep = flips.check_involution(g, 0)
-        ok_inv &= rep["equal"]
-        worst_inv = max(worst_inv, rep["residual"])
-        t = tetrahedron(_seeded_labels(rng, 6))
-        rep = flips.check_involution(t, rng.randrange(6))
-        ok_inv &= rep["equal"]
-        worst_inv = max(worst_inv, rep["residual"])
-    reports.append({"name": "involution", "cases": 2 * cases, "residual": worst_inv, "equal": ok_inv})
 
-    worst = 0.0
-    ok = True
-    for _ in range(cases):
-        t = tetrahedron(_seeded_labels(rng, 6))
-        rep = flips.check_commutation(t, 0, 5)
-        ok &= rep["equal"]
-        worst = max(worst, rep["residual"])
-    reports.append({"name": "commutation", "cases": cases, "residual": worst, "equal": ok})
+    def torus():
+        return once_punctured_torus(_seeded_labels(rng, 3))
 
-    ok = True
-    worst = 0.0
-    for _ in range(cases):
-        t = tetrahedron(_seeded_labels(rng, 6))
-        rep = flips.check_pentagon(t, 0, 1)
-        ok &= rep["equal"]
-        worst = max(worst, rep["residual"])
-    reports.append({"name": "pentagon", "cases": cases, "residual": worst, "equal": ok})
+    def tet():
+        return tetrahedron(_seeded_labels(rng, 6))
 
-    ok = True
-    worst = 0.0
+    # arguments are evaluated left to right, so the draws keep their order
+    involution, perimeter = [], []
     for _ in range(cases):
-        g = once_punctured_torus(_seeded_labels(rng, 3))
-        rep = flips.check_perimeters(g, 0)
-        ok &= rep["equal"]
-        worst = max(worst, rep["residual"])
-        t = tetrahedron(_seeded_labels(rng, 6))
-        rep = flips.check_perimeters(t, rng.randrange(6))
-        ok &= rep["equal"]
-        worst = max(worst, rep["residual"])
-    reports.append({"name": "perimeter", "cases": 2 * cases, "residual": worst, "equal": ok})
-
-    ok = True
-    worst = 0.0
+        involution += [flips.check_involution(torus(), 0), flips.check_involution(tet(), rng.randrange(6))]
+    commutation = [flips.check_commutation(tet(), 0, 5) for _ in range(cases)]
+    pentagon = [flips.check_pentagon(tet(), 0, 1) for _ in range(cases)]
     for _ in range(cases):
-        rep = flips.torus_modular_check(_seeded_labels(rng, 3))
-        ok &= rep["equal"]
-        worst = max(worst, rep["residual"])
-    reports.append({"name": "torus_modular", "cases": cases, "residual": worst, "equal": ok})
-    return reports
+        perimeter += [flips.check_perimeters(torus(), 0), flips.check_perimeters(tet(), rng.randrange(6))]
+    modular = [flips.torus_modular_check(_seeded_labels(rng, 3)) for _ in range(cases)]
+    return [
+        _summary("involution", involution),
+        _summary("commutation", commutation),
+        _summary("pentagon", pentagon),
+        _summary("perimeter", perimeter),
+        _summary("torus_modular", modular),
+    ]
 
 
 def _suite_qskein(seed: int, cases: int):
@@ -282,8 +265,7 @@ def run(argv=None) -> int:
 
     try:
         if args.command == "graph":
-            g = _load_graph(args.file)
-            report = g.validate()
+            g, report = _load_graph(args.file)
             if args.graph_command == "validate":
                 _emit({"status": "ok", "topology": report.to_json()})
             else:
@@ -302,7 +284,7 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "geodesic":
-            g = _load_graph(args.file)
+            g, _ = _load_graph(args.file)
             path = _parse_path(args.path)
             trace = geodesics.geodesic_function(g, path)
             _emit(
@@ -316,7 +298,7 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "flip":
-            g = _load_graph(args.file)
+            g, _ = _load_graph(args.file)
             record = flips.flip(g, args.edge)
             _emit(
                 {

@@ -1,12 +1,14 @@
-"""Exact exponential Laurent polynomials and their q-deformation.
+"""Exact exponential Laurent polynomials and their q-deformation, in one sparse ring.
 
 An ``ExpPoly`` is a finite sum ``sum_m c_m exp((m . z)/2)`` where ``m`` runs
 over integer exponent vectors (units of z/2) and the coefficients ``c_m`` are
 ints; a ``Fraction`` appears only where the bracket's 1/4 or a scalar such as
-Goldman's 1/2 leaves a denominator.  A ``QExpPoly`` carries the same exponent
-vectors but its coefficients are integer Laurent polynomials in the formal
-unit ``rho`` (``rho**4 = q``).  The Poisson bracket and the noncommutative
-product are both induced by an antisymmetric integer matrix ``omega``:
+Goldman's 1/2 leaves a denominator.  ``LaurentPoly`` is its one-variable case,
+a Laurent polynomial in the formal unit ``rho`` (``rho**4 = q``).  A quantum
+element ``QExpPoly`` is one ``ExpPoly`` with rho as its last exponent: the
+term ``c rho^r e^{m.Z/2}`` is stored under the key ``m + (r,)``.  The Poisson
+bracket and the noncommutative product ``qmul``, the flat product twisted in
+the rho exponent, are both induced by an antisymmetric integer matrix ``omega``:
 
     {e^{m.z/2}, e^{n.z/2}} = (1/4) (m^T omega n) e^{(m+n).z/2}
     e^{m.Z/2} o e^{n.Z/2}  = rho^{-(m^T omega n)} e^{(m+n).Z/2}
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -82,6 +85,18 @@ class ExpPoly:
         m = tuple(int(x) for x in m)
         return cls(len(m), {m: _as_coefficient(c)})
 
+    def _raw(self, terms: dict) -> "ExpPoly":
+        """An element of this type and dimension on clean terms (no zero coefficients)."""
+        out = object.__new__(type(self))
+        out.dim = self.dim
+        out.terms = terms
+        return out
+
+    def _scalar(self, c) -> "ExpPoly":
+        """The constant ``c`` as an element of this type and dimension."""
+        c = _as_coefficient(c)
+        return self._raw({(0,) * self.dim: c} if c else {})
+
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "ExpPoly"):
@@ -90,7 +105,7 @@ class ExpPoly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExpPoly.const(self.dim, other)
+            other = self._scalar(other)
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -99,21 +114,17 @@ class ExpPoly:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = ExpPoly(self.dim)
-        out.terms = terms
-        return out
+        return self._raw(terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        out = ExpPoly(self.dim)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExpPoly.const(self.dim, other)
+            other = self._scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -122,10 +133,7 @@ class ExpPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_coefficient(other)
-            out = ExpPoly(self.dim)
-            if c:
-                out.terms = {m: _as_coefficient(a * c) for m, a in self.terms.items()}
-            return out
+            return self._raw({m: _as_coefficient(a * c) for m, a in self.terms.items()} if c else {})
         self._check(other)
         terms = {}
         for m, a in self.terms.items():
@@ -136,22 +144,18 @@ class ExpPoly:
                     terms[k] = s
                 else:
                     terms.pop(k, None)
-        out = ExpPoly(self.dim)
-        out.terms = terms
-        return out
+        return self._raw(terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def shift(self, i: int, s: int) -> "ExpPoly":
         """The product with the monomial e^{s z_i/2}: exponent i of every term moves by s."""
-        out = ExpPoly(self.dim)
-        out.terms = {m[:i] + (m[i] + s,) + m[i + 1 :]: c for m, c in self.terms.items()}
-        return out
+        return self._raw({m[:i] + (m[i] + s,) + m[i + 1 :]: c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExpPoly.const(self.dim, other)
+            other = self._scalar(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
@@ -187,10 +191,7 @@ class ExpPoly:
         return sorted(self.terms.items())
 
     def to_json(self):
-        return [
-            {"m": list(m), "c": [c.numerator, c.denominator]}
-            for m, c in self.sorted_terms()
-        ]
+        return [{"m": list(m), "c": [c.numerator, c.denominator]} for m, c in self.sorted_terms()]
 
     def __repr__(self):
         if not self.terms:
@@ -220,24 +221,19 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-    out = ExpPoly(f.dim)
-    out.terms = {m: _as_coefficient(Fraction(s, 4)) for m, s in terms.items()}
-    return out
+    return f._raw({m: _as_coefficient(Fraction(s, 4)) for m, s in terms.items()})
 
 
-class LaurentPoly:
-    """Integer-coefficient Laurent polynomial in the formal unit rho = q^{1/4}."""
+class LaurentPoly(ExpPoly):
+    """Integer-coefficient Laurent polynomial in the formal unit rho = q^{1/4}.
 
-    __slots__ = ("coeffs",)
+    The one-variable ``ExpPoly``: ``rho^n`` is stored under the key ``(n,)``.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean = {}
-        if coeffs:
-            for n, c in coeffs.items():
-                c = _as_coefficient(c)
-                if c:
-                    clean[int(n)] = c
-        self.coeffs = clean
+        super().__init__(1, {(n,): c for n, c in (coeffs or {}).items()})
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -247,93 +243,29 @@ class LaurentPoly:
     def rho_power(cls, n: int, c=1) -> "LaurentPoly":
         return cls({n: c})
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = coeffs.get(n, 0) + c
-            if s:
-                coeffs[n] = s
-            else:
-                coeffs.pop(n, None)
-        out = LaurentPoly()
-        out.coeffs = coeffs
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentPoly()
-        out.coeffs = {n: -c for n, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        coeffs = {}
-        for n, a in self.coeffs.items():
-            for k, b in other.coeffs.items():
-                s = coeffs.get(n + k, 0) + a * b
-                if s:
-                    coeffs[n + k] = s
-                else:
-                    coeffs.pop(n + k, None)
-        out = LaurentPoly()
-        out.coeffs = coeffs
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def star(self) -> "LaurentPoly":
         """The involution rho -> rho^{-1}."""
-        out = LaurentPoly()
-        out.coeffs = {-n: c for n, c in self.coeffs.items()}
-        return out
+        return self._raw({(-n,): c for (n,), c in self.terms.items()})
 
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
-        return sum(self.coeffs.values())
+        return sum(self.terms.values())
 
     def is_scalar_multiple_of_one(self) -> bool:
-        return set(self.coeffs) <= {0}
+        return set(self.terms) <= {(0,)}
 
     def classical_derivative(self) -> int | Fraction:
         """(1/(2 pi i)) d/dhbar at hbar=0 of sum_n c_n rho^n with rho = e^{-i pi hbar/4}.
 
         Each rho^n contributes -n/8 at hbar = 0.
         """
-        return _as_coefficient(Fraction(sum(-n * c for n, c in self.coeffs.items()), 8))
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
-
-    def to_json(self):
-        return [{"rho": n, "c": [c.numerator, c.denominator]} for n, c in self.sorted_terms()]
+        return _as_coefficient(Fraction(sum(-n * c for (n,), c in self.terms.items()), 8))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for n, c in self.sorted_terms():
+        for (n,), c in self.sorted_terms():
             if n == 0:
                 parts.append(str(c))
             else:
@@ -342,29 +274,27 @@ class LaurentPoly:
 
 
 class QExpPoly:
-    """Finite map from integer exponent vectors to Laurent polynomials in rho."""
+    """Quantum-torus element: an ``ExpPoly`` in the exponents ``m + (r,)`` of ``rho^r e^{m.Z/2}``."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("flat",)
 
     def __init__(self, dim: int, terms: Mapping[tuple, LaurentPoly] | None = None):
-        self.dim = dim
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                m = tuple(int(x) for x in m)
-                if len(m) != dim:
-                    raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
-                if not isinstance(c, LaurentPoly):
-                    c = LaurentPoly.const(c)
-                if c:
-                    clean[m] = clean.get(m, LaurentPoly()) + c
-                    if not clean[m]:
-                        del clean[m]
-        self.terms = clean
+        flat = {}
+        for m, c in (terms or {}).items():
+            m = tuple(int(x) for x in m)
+            if len(m) != dim:
+                raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
+            if not isinstance(c, LaurentPoly):
+                c = LaurentPoly.const(c)
+            for r, a in c.terms.items():
+                flat[m + r] = flat.get(m + r, 0) + a
+        self.flat = ExpPoly(dim + 1, flat)
 
     @classmethod
-    def zero(cls, dim: int) -> "QExpPoly":
-        return cls(dim)
+    def _of(cls, flat: ExpPoly) -> "QExpPoly":
+        out = object.__new__(cls)
+        out.flat = flat
+        return out
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "QExpPoly":
@@ -374,86 +304,69 @@ class QExpPoly:
     @classmethod
     def from_classical(cls, f: ExpPoly) -> "QExpPoly":
         """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c."""
-        return cls(f.dim, {m: LaurentPoly.const(c) for m, c in f.terms.items()})
+        return cls(f.dim, f.terms)
 
-    def _check(self, other: "QExpPoly"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
+    @property
+    def dim(self) -> int:
+        return self.flat.dim - 1
+
+    @property
+    def terms(self) -> Mapping[tuple, LaurentPoly]:
+        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient."""
+        grouped = {}
+        for k, c in self.flat.terms.items():
+            grouped.setdefault(k[:-1], {})[k[-1]] = c
+        return MappingProxyType({m: LaurentPoly(cs) for m, cs in grouped.items()})
+
+    _check = ExpPoly._check
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, LaurentPoly()) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        out = QExpPoly(self.dim)
-        out.terms = terms
-        return out
+        return QExpPoly._of(self.flat + other.flat)
 
     def __neg__(self):
-        out = QExpPoly(self.dim)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return QExpPoly._of(-self.flat)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return QExpPoly._of(self.flat - other.flat)
 
     def scale(self, c) -> "QExpPoly":
         if not isinstance(c, LaurentPoly):
             c = LaurentPoly.const(c)
-        terms = {}
-        for m, a in self.terms.items():
-            p = a * c
-            if p:
-                terms[m] = p
-        out = QExpPoly(self.dim)
-        out.terms = terms
-        return out
+        zero = (0,) * self.dim
+        return QExpPoly._of(self.flat * ExpPoly(self.dim + 1, {zero + r: a for r, a in c.terms.items()}))
 
     def __eq__(self, other):
         if not isinstance(other, QExpPoly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.flat == other.flat
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.flat)
 
     def is_rho_free(self) -> bool:
-        return all(c.is_scalar_multiple_of_one() for c in self.terms.values())
+        return not any(k[-1] for k in self.flat.terms)
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
-        return self.terms.get(tuple(m), LaurentPoly())
+        m = tuple(m)
+        return LaurentPoly({k[-1]: c for k, c in self.flat.terms.items() if k[:-1] == m})
 
     def at_rho_one(self) -> ExpPoly:
-        out = ExpPoly(self.dim)
         terms = {}
-        for m, c in self.terms.items():
-            v = c.at_one()
-            if v:
-                terms[m] = v
-        out.terms = terms
-        return out
+        for k, c in self.flat.terms.items():
+            terms[k[:-1]] = terms.get(k[:-1], 0) + c
+        return ExpPoly(self.dim, terms)
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
-        out = QExpPoly(self.dim)
-        out.terms = {m: c.star() for m, c in self.terms.items()}
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_json(self):
-        return [{"m": list(m), "c": c.to_json()} for m, c in self.sorted_terms()]
+        return QExpPoly._of(self.flat._raw({k[:-1] + (-k[-1],): c for k, c in self.flat.terms.items()}))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.flat:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
             combo = " + ".join(f"{mi}*Z{i}" for i, mi in enumerate(m) if mi)
             body = f"exp(({combo})/2)" if combo else "1"
             parts.append(f"({c}) * {body}")
@@ -461,38 +374,35 @@ class QExpPoly:
 
 
 def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
-    """Noncommutative product of quantum-torus elements."""
+    """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n."""
     f._check(g)
-    terms: dict[tuple, LaurentPoly] = {}
-    for m, a in f.terms.items():
-        for n, b in g.terms.items():
-            k = pairing(m, n, omega)
+    terms = {}
+    right = g.flat.terms.items()
+    for m, a in f.flat.terms.items():
+        z = m[:-1]
+        for n, b in right:
             key = tuple(map(add, m, n))
-            contrib = a * b * LaurentPoly.rho_power(-k)
-            s = terms.get(key, LaurentPoly()) + contrib
+            k = pairing(z, n[:-1], omega)
+            if k:
+                key = key[:-1] + (key[-1] - k,)
+            s = terms.get(key, 0) + a * b
             if s:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-    out = QExpPoly(f.dim)
-    out.terms = terms
-    return out
+    return QExpPoly._of(f.flat._raw(terms))
 
 
 def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     """(1/(2 pi i)) d/dhbar of [f o g - g o f] at hbar = 0, exactly.
 
     Requires rho-free inputs; the result equals the Poisson bracket of the
-    rho = 1 specializations.
+    rho = 1 specializations.  Each rho^r contributes -r/8.
     """
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
     comm = qmul(f, g, omega) - qmul(g, f, omega)
-    out = ExpPoly(f.dim)
-    terms = {}
-    for m, c in comm.terms.items():
-        v = c.classical_derivative()
-        if v:
-            terms[m] = v
-    out.terms = terms
-    return out
+    sums = {}
+    for k, c in comm.flat.terms.items():
+        sums[k[:-1]] = sums.get(k[:-1], 0) - k[-1] * c
+    return ExpPoly(f.dim, {m: Fraction(s, 8) for m, s in sums.items()})

@@ -119,10 +119,11 @@ def qcommutator_check(g: FatGraph, A: QGeodesic, B: QGeodesic) -> dict:
     weyl_abinv = QExpPoly.from_classical(mat_trace(mat_mul(P, mat_inv(Q))))
 
     c_rho = None
-    proportional = bool(weyl_abinv.terms)
+    weyl_terms = weyl_abinv.terms
+    proportional = bool(weyl_terms)
     if proportional:
-        m0 = min(weyl_abinv.terms)
-        w0 = weyl_abinv.terms[m0].at_one()  # rho-free by construction
+        m0 = min(weyl_terms)
+        w0 = weyl_terms[m0].at_one()  # rho-free by construction
         c_rho = qcomm.coefficient(m0) * (Fraction(1) / w0)
         proportional = qcomm == weyl_abinv.scale(c_rho)
     q_minus_qinv = LaurentPoly({4: 1, -4: -1})
@@ -209,9 +210,13 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     poles sit at p = i k and p = i k / hbar.
     """
     h = float(params.hbar)
+    z = complex(z)
+    if not math.isfinite(h):
+        raise QuantumError(f"hbar = {h} is not a finite number")
+    if not cmath.isfinite(z):
+        raise QuantumError(f"z = {z} is not a finite number")
     if h <= 0:
         raise QuantumError("hbar must be positive")
-    z = complex(z)
     decay = math.pi * (1.0 + h) - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")

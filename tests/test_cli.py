@@ -203,3 +203,37 @@ def test_check_output_matches_golden(capsys, suite):
     code, out, _ = _run(capsys, "check", suite)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{suite}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sigma, named",
+    [([9, 0, 3, 2], "sigma[0] = 9"), ([1, 0, 3, 2], "vertex orbit [0, 1] has size 2")],
+    ids=["dart_out_of_range", "two_dart_vertex"],
+)
+@pytest.mark.parametrize(
+    "command, options",
+    [(["flip"], ["--edge", "0"]), (["geodesic", "eval"], ["--path", "0,1"]), (["graph", "info"], [])],
+    ids=["flip", "geodesic", "graph"],
+)
+def test_graph_validated_for_every_command(tmp_path, capsys, sigma, named, command, options):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sigma": sigma, "z": [0, 0]}))
+    code, out, err = _run(capsys, *command, str(path), *options)
+    assert code == 2 and out == ""
+    assert named in err and "self-loop" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["--z", "inf", "--hbar", "0.5"], "z = (inf"), (["--z", "1.0", "--hbar", "nan"], "hbar = nan")],
+    ids=["z_inf", "hbar_nan"],
+)
+def test_qdilog_rejects_non_finite_input(capsys, argv, named):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "qdilog", *argv)
+    assert code == 2 and out == ""
+    assert named in err and "not a finite number" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

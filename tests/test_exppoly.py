@@ -199,3 +199,39 @@ def test_repr_roundtrip_json():
     data = f.to_json()
     g = ExpPoly(DIM, {tuple(t["m"]): Fraction(*t["c"]) for t in data})
     assert f == g
+
+
+# -- flat quantum representation ----------------------------------------------
+
+
+def _qmul_reference(f, g):
+    """Sum of rho^{r+s-k} a b e^{(m+n).Z/2} over the term pairs, k = m^T omega n."""
+    total = QExpPoly(DIM)
+    for m, p in f.terms.items():
+        for n, q in g.terms.items():
+            k = pairing(m, n, OMEGA)
+            mn = tuple(x + y for x, y in zip(m, n))
+            for (r,), a in p.terms.items():
+                for (s,), b in q.terms.items():
+                    total = total + QExpPoly.monomial(mn, LaurentPoly.rho_power(r + s - k, a * b))
+    return total
+
+
+@settings(max_examples=60)
+@given(qpolys, qpolys)
+def test_qmul_matches_termwise_reference(f, g):
+    assert qmul(f, g, OMEGA) == _qmul_reference(f, g)
+
+
+@settings(max_examples=60)
+@given(qpolys)
+def test_quantum_terms_view_round_trips(q):
+    assert QExpPoly(q.dim, q.terms) == q
+    assert all(type(c) is LaurentPoly and c for c in q.terms.values())
+
+
+@settings(max_examples=60)
+@given(laurents, laurents, coeffs)
+def test_laurent_arithmetic_stays_laurent(a, b, c):
+    for x in (a + b, a - b, a * b, -a, c * a, a * c, a + c, c - a):
+        assert type(x) is LaurentPoly and x.dim == 1

@@ -81,3 +81,17 @@ def test_check_report_shape():
     assert rep["name"] == "qdilog_difference"
     assert rep["equal"] and rep["residual"] <= rep["tolerance"]
     assert rep["z"] == [1.0, 0.0] and rep["hbar"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "z, hbar, named",
+    [
+        (complex(math.inf, 0.0), 0.5, "z = "),
+        (complex(0.0, math.nan), 0.5, "z = "),
+        (1.0, math.nan, "hbar = nan"),
+        (1.0, math.inf, "hbar = inf"),
+    ],
+)
+def test_non_finite_input_rejected(z, hbar, named):
+    with pytest.raises(QuantumError, match=named):
+        phi_hbar(z, QDilogParams(hbar=hbar))

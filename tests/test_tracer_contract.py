@@ -1,0 +1,60 @@
+"""The benchmark's per-layer tracer still fits the library.
+
+``perfbench/tracing.py`` wraps ``ExpPoly``'s special methods and the public
+layer functions from outside ``src/``; a ring refactor that moves them
+breaks traced benchmark runs.  This smoke test installs the tracer, runs one
+skein pair, one ``qmul`` and one classical-limit commutator, and checks that
+the spans counted work and that uninstalling restores the originals.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import shearlab
+from shearlab import exppoly, geodesics, quantum
+from shearlab.fatgraph import once_punctured_torus
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+METHODS = ("__mul__", "__add__", "__eq__", "evaluate")
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
+    import tracing
+
+    return tracing
+
+
+def test_tracer_counts_ring_work_and_restores(tracing):
+    originals = {name: exppoly.ExpPoly.__dict__[name] for name in METHODS}
+    qmul = exppoly.qmul
+    torus = once_punctured_torus()
+    omega = torus.omega_matrix()
+    A = quantum.quantum_geodesic(torus, geodesics.TORUS_A).operator
+    B = quantum.quantum_geodesic(torus, geodesics.TORUS_B).operator
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert quantum.qmul is not qmul and shearlab.qmul is not qmul
+        tracer.active = True
+        assert geodesics.skein_check(torus, geodesics.TORUS_A, geodesics.TORUS_B)["equal"]
+        assert exppoly.qmul(A, B, omega).at_rho_one() == A.at_rho_one() * B.at_rho_one()
+        assert exppoly.classical_limit_commutator(A, B, omega) == exppoly.poisson_bracket(
+            A.at_rho_one(), B.at_rho_one(), omega
+        )
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+
+    stats = tracer.snapshot()
+    assert stats["exppoly.mul"]["calls"] > 0 and stats["exppoly.mul"]["pairs"] > 0
+    assert stats["exppoly.qmul"]["calls"] == 3  # one direct, two inside the commutator
+    assert stats["exppoly.qmul"]["pairs"] > 0
+    assert stats["exppoly.bracket"]["calls"] == 1
+    assert exppoly.qmul is qmul and quantum.qmul is qmul and shearlab.qmul is qmul
+    assert all(exppoly.ExpPoly.__dict__[name] is fn for name, fn in originals.items())
