@@ -11,14 +11,13 @@ import argparse
 import json
 import random
 import sys
-
-import numpy as np
+from fractions import Fraction
 
 from . import flips, geodesics, quantum
 from .exppoly import poisson_bracket
 from .fatgraph import FatGraph, FatGraphError, TopologyReport, once_punctured_torus, tetrahedron
-from .geodesics import PathError
-from .quantum import QDilogParams, QuantumError
+from .geodesics import PathError, exact_report
+from .quantum import QuantumError
 
 DEFAULT_SEED = 20260825
 
@@ -79,21 +78,12 @@ def _suite_goldman(seed: int, cases: int):
     ]
     reports = [geodesics.goldman_check(torus, p, q, omega) for p, q in pairs]
     # torus algebra form: {G_A, G_B} = (1/2) G_A G_B - G_{AB^-1}
-    from fractions import Fraction
-
     ga = geodesics.geodesic_function(torus, geodesics.TORUS_A)
     gb = geodesics.geodesic_function(torus, geodesics.TORUS_B)
     gc = geodesics.geodesic_function(torus, geodesics.TORUS_ABINV)
     lhs = poisson_bracket(ga, gb, omega)
     rhs = Fraction(1, 2) * ga * gb - gc
-    reports.append(
-        {
-            "name": "goldman_algebra_form",
-            "equal": lhs == rhs,
-            "residual": "exact" if lhs == rhs else repr(lhs - rhs),
-        }
-    )
-    return reports
+    return reports + [exact_report("goldman_algebra_form", lhs, rhs)]
 
 
 def _suite_casimir(seed: int, cases: int):
@@ -102,15 +92,8 @@ def _suite_casimir(seed: int, cases: int):
     C = geodesics.torus_casimir(torus)
     reports = []
     for name, word in (("A", geodesics.TORUS_A), ("B", geodesics.TORUS_B), ("ABinv", geodesics.TORUS_ABINV)):
-        gx = geodesics.geodesic_function(torus, word)
-        br = poisson_bracket(C, gx, omega)
-        reports.append(
-            {
-                "name": f"casimir_central_{name}",
-                "equal": br.is_zero(),
-                "residual": "exact" if br.is_zero() else repr(br),
-            }
-        )
+        br = poisson_bracket(C, geodesics.geodesic_function(torus, word), omega)
+        reports.append(exact_report(f"casimir_central_{name}", br, 0))
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(cases):
@@ -172,31 +155,20 @@ def _suite_qskein(seed: int, cases: int):
     return [skein_rep, comm_rep, loop_rep, central]
 
 
+# (identity, hbar, z grid) of each qdilog report
+_QDILOG_GRID = (
+    *(("difference", hbar, [0.5 * k for k in range(-6, 7)]) for hbar in (0.1, 0.5, 1.0)),
+    ("quasi1", 0.4, [-2.0 + 0.45 * k for k in range(10)]),
+    ("semiclassical", 0.01, [-2.0 + 0.5 * k for k in range(9)]),
+)
+
+
 def _suite_qdilog(seed: int, cases: int):
     reports = []
-    for hbar in (0.1, 0.5, 1.0):
-        worst = 0.0
-        for k in range(-6, 7):
-            z = 0.5 * k
-            rep = quantum.qdilog_check("difference", z, hbar)
-            worst = max(worst, rep["residual"])
-        reports.append(
-            {"name": "qdilog_difference", "hbar": hbar, "residual": worst, "equal": worst <= 1e-8}
-        )
-    worst = 0.0
-    for k in range(10):
-        z = -2.0 + 0.45 * k
-        rep = quantum.qdilog_check("quasi1", z, 0.4)
-        worst = max(worst, rep["residual"])
-    reports.append({"name": "qdilog_quasi1", "hbar": 0.4, "residual": worst, "equal": worst <= 1e-6})
-    worst = 0.0
-    for k in range(9):
-        z = -2.0 + 0.5 * k
-        rep = quantum.qdilog_check("semiclassical", z, 0.01)
-        worst = max(worst, rep["residual"])
-    reports.append(
-        {"name": "qdilog_semiclassical", "hbar": 0.01, "residual": worst, "equal": worst <= 5e-3}
-    )
+    for kind, hbar, grid in _QDILOG_GRID:
+        rep = _summary(f"qdilog_{kind}", [quantum.qdilog_check(kind, z, hbar) for z in grid])
+        del rep["cases"]  # a fixed grid, not the --cases count
+        reports.append({**rep, "hbar": hbar})
     return reports
 
 
@@ -324,8 +296,7 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "qdilog":
-            params = QDilogParams(hbar=args.hbar)
-            rep = quantum.qdilog_check(args.check, args.z, args.hbar, params)
+            rep = quantum.qdilog_check(args.check, args.z, args.hbar)
             rep["status"] = "pass" if rep["equal"] else "fail"
             _emit(rep)
             return 0 if rep["equal"] else 1

@@ -315,8 +315,9 @@ class QExpPoly:
         """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient."""
         grouped = {}
         for k, c in self.flat.terms.items():
-            grouped.setdefault(k[:-1], {})[k[-1]] = c
-        return MappingProxyType({m: LaurentPoly(cs) for m, cs in grouped.items()})
+            grouped.setdefault(k[:-1], {})[k[-1:]] = c
+        rho = LaurentPoly()
+        return MappingProxyType({m: rho._raw(cs) for m, cs in grouped.items()})
 
     _check = ExpPoly._check
 

@@ -190,9 +190,12 @@ class FatGraph:
     def from_json(cls, data) -> "FatGraph":
         if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("sigma", "z")):
             raise FatGraphError('graph JSON must be an object with "sigma" and "z" lists')
-        for x in data["z"]:
-            if not isinstance(x, (int, float)) or not math.isfinite(x):
-                raise FatGraphError(f"label {x!r} is not a finite number")
+        for i, d in enumerate(data["sigma"]):
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
+        for i, x in enumerate(data["z"]):
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+                raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
         return cls(data["sigma"], data["z"])
 
     @classmethod

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from .fatgraph import FatGraph, FatGraphError, edge_of, opposite
 from .geodesics import PathError, next_darts, validate_path
 
+_TOL = 1e-12  # label agreement, and the residual bound of every flip relation
+
 
 def phi(z: float) -> float:
     """log(1 + e^z), computed stably."""
@@ -132,11 +134,11 @@ def transport_path(record: FlipRecord, path):
 # -- graph equivalence --------------------------------------------------------
 
 
-def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None, label_tol: float = 1e-12):
+def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
     """Dart bijection taking (opp, sigma) of g1 to g2 and edge i to edge_map[i].
 
     Returns the dart map as a list, or None.  Labels must agree through
-    edge_map within label_tol.
+    edge_map within 1e-12.
     """
     if g1.n_darts != g2.n_darts:
         return None
@@ -144,7 +146,7 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None, label_tol: float
     if edge_map is None:
         edge_map = list(range(g1.n_edges))
     for i in range(g1.n_edges):
-        if abs(float(g1.z[i]) - float(g2.z[edge_map[i]])) > label_tol:
+        if abs(float(g1.z[i]) - float(g2.z[edge_map[i]])) > _TOL:
             return None
     for seed in (2 * edge_map[0], 2 * edge_map[0] + 1):
         psi = [-1] * n
@@ -170,31 +172,31 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None, label_tol: float
     return None
 
 
-def equivalent(g1: FatGraph, g2: FatGraph, edge_map=None, label_tol: float = 1e-12) -> bool:
-    return find_isomorphism(g1, g2, edge_map, label_tol) is not None
+def equivalent(g1: FatGraph, g2: FatGraph, edge_map=None) -> bool:
+    return find_isomorphism(g1, g2, edge_map) is not None
 
 
 # -- flip relations -----------------------------------------------------------
 
 
-def _labels_close(g1: FatGraph, g2: FatGraph, tol: float) -> float:
+def _labels_close(g1: FatGraph, g2: FatGraph) -> float:
     return max(abs(float(x) - float(y)) for x, y in zip(g1.z, g2.z))
 
 
-def check_involution(g: FatGraph, e: int, tol: float = 1e-12) -> dict:
+def check_involution(g: FatGraph, e: int) -> dict:
     twice = flip(flip(g, e).after, e).after
     sigma_equal = twice.sigma == g.sigma
-    residual = _labels_close(twice, g, tol)
+    residual = _labels_close(twice, g)
     return {
         "name": "involution",
         "edge": e,
         "sigma_equal": sigma_equal,
         "residual": residual,
-        "equal": sigma_equal and residual <= tol,
+        "equal": sigma_equal and residual <= _TOL,
     }
 
 
-def check_commutation(g: FatGraph, e1: int, e2: int, tol: float = 1e-12) -> dict:
+def check_commutation(g: FatGraph, e1: int, e2: int) -> dict:
     darts1 = {2 * e1, 2 * e1 + 1}
     verts = {frozenset(v) for v in g.vertices()}
     shared = [v for v in verts if (v & darts1) and (v & {2 * e2, 2 * e2 + 1})]
@@ -203,17 +205,17 @@ def check_commutation(g: FatGraph, e1: int, e2: int, tol: float = 1e-12) -> dict
     ab = flip(flip(g, e1).after, e2).after
     ba = flip(flip(g, e2).after, e1).after
     sigma_equal = ab.sigma == ba.sigma
-    residual = _labels_close(ab, ba, tol)
+    residual = _labels_close(ab, ba)
     return {
         "name": "commutation",
         "edges": [e1, e2],
         "sigma_equal": sigma_equal,
         "residual": residual,
-        "equal": sigma_equal and residual <= tol,
+        "equal": sigma_equal and residual <= _TOL,
     }
 
 
-def check_pentagon(g: FatGraph, e1: int, e2: int, tol: float = 1e-12) -> dict:
+def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     """Five alternating flips return the graph up to transposing the two edges."""
     verts = [frozenset(v) for v in g.vertices()]
     common = [
@@ -228,7 +230,7 @@ def check_pentagon(g: FatGraph, e1: int, e2: int, tol: float = 1e-12) -> dict:
         h = flip(h, e).after
     edge_map = list(range(g.n_edges))
     edge_map[e1], edge_map[e2] = e2, e1
-    ok = equivalent(g, h, edge_map=edge_map, label_tol=tol)
+    ok = equivalent(g, h, edge_map=edge_map)
     swapped_z = list(map(float, g.z))
     swapped_z[e1], swapped_z[e2] = swapped_z[e2], swapped_z[e1]
     residual = max(abs(a - float(b)) for a, b in zip(swapped_z, h.z))
@@ -240,7 +242,7 @@ def check_pentagon(g: FatGraph, e1: int, e2: int, tol: float = 1e-12) -> dict:
     }
 
 
-def check_perimeters(g: FatGraph, e: int, tol: float = 1e-12) -> dict:
+def check_perimeters(g: FatGraph, e: int) -> dict:
     """Every face perimeter is invariant under the flip of e."""
     after = flip(g, e).after
     before_vals = sorted(g.face_perimeter(f)[1] for f in g.faces())
@@ -250,7 +252,7 @@ def check_perimeters(g: FatGraph, e: int, tol: float = 1e-12) -> dict:
         "name": "perimeter",
         "edge": e,
         "residual": residual,
-        "equal": len(before_vals) == len(after_vals) and residual <= tol,
+        "equal": len(before_vals) == len(after_vals) and residual <= _TOL,
     }
 
 
@@ -276,7 +278,7 @@ def torus_flip_map(labels):
     return tuple(float(after.z[e]) for e in order)
 
 
-def torus_modular_check(labels, tol: float = 1e-12) -> dict:
+def torus_modular_check(labels) -> dict:
     """U -> U^-1 and V -> e^{l_P/2} V^-1 / (U + U^-1) under the z0-flip.
 
     U = e^{z0/2}; V is the multiplicative coordinate of the non-flipped label
@@ -295,5 +297,5 @@ def torus_modular_check(labels, tol: float = 1e-12) -> dict:
         "labels": [z0, z1, z2],
         "after": list(new),
         "residual": residual,
-        "equal": residual <= tol,
+        "equal": residual <= _TOL,
     }

@@ -51,12 +51,7 @@ def validate_path(g: FatGraph, path) -> tuple:
 def turn_sequence(g: FatGraph, path) -> list:
     """Turn after each dart: 'L' for sigma(opp(d)), 'R' for sigma^2(opp(d))."""
     path = validate_path(g, path)
-    turns = []
-    for k, d in enumerate(path):
-        nxt = path[(k + 1) % len(path)]
-        left, _right = next_darts(g, d)
-        turns.append("L" if nxt == left else "R")
-    return turns
+    return ["L" if path[(k + 1) % len(path)] == next_darts(g, d)[0] else "R" for k, d in enumerate(path)]
 
 
 def path_inverse(path) -> tuple:
@@ -106,13 +101,14 @@ def path_matrix(g: FatGraph, path):
     then subtracts one shifted row from the other.
     """
     path = validate_path(g, path)
-    turns = turn_sequence(g, path)
     one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
     top, bottom = (one, zero), (zero, one)
-    for e, t in zip(map(edge_of, path), turns):
+    for k, d in enumerate(path):
+        e = edge_of(d)
         top = tuple(x.shift(e, -1) for x in top)
         bottom = tuple(x.shift(e, 1) for x in bottom)
-        if t == "L":  # -x + y keeps the generic product's term order, which evaluate() sums in
+        if path[(k + 1) % len(path)] == next_darts(g, d)[0]:
+            # a left turn; -x + y keeps the generic product's term order, which evaluate() sums in
             bottom = tuple(-x + y for x, y in zip(top, bottom))
         else:
             top = tuple(x - y for x, y in zip(top, bottom))
@@ -131,48 +127,43 @@ def geodesic_function(g: FatGraph, path) -> ExpPoly:
     return mat_trace(normalized_path_matrix(g, path))
 
 
-def product_traces(g: FatGraph, p, q):
-    """(Tr(PQ), Tr(PQ^-1)) for the sign-normalized matrices of the two words."""
+def pair_traces(g: FatGraph, p, q) -> tuple:
+    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the sign-normalized matrices; each word compiles once."""
     P = normalized_path_matrix(g, p)
     Q = normalized_path_matrix(g, q)
-    return mat_trace(mat_mul(P, Q)), mat_trace(mat_mul(P, mat_inv(Q)))
+    return mat_trace(P), mat_trace(Q), mat_trace(mat_mul(P, Q)), mat_trace(mat_mul(P, mat_inv(Q)))
+
+
+def product_traces(g: FatGraph, p, q):
+    """(Tr(PQ), Tr(PQ^-1)) for the sign-normalized matrices of the two words."""
+    return pair_traces(g, p, q)[2:]
 
 
 # -- identity checks ----------------------------------------------------------
 
 
+def exact_report(name: str, lhs, rhs) -> dict:
+    """The verdict on lhs = rhs in an exact ring: residual "exact", or the repr of lhs - rhs."""
+    equal = lhs == rhs
+    return {"name": name, "equal": equal, "residual": "exact" if equal else repr(lhs - rhs)}
+
+
 def skein_check(g: FatGraph, p, q) -> dict:
     """Tr(P) Tr(Q) = Tr(PQ) + Tr(PQ^-1), exactly."""
-    gp = geodesic_function(g, p)
-    gq = geodesic_function(g, q)
-    g_pq, g_pqi = product_traces(g, p, q)
+    gp, gq, g_pq, g_pqi = pair_traces(g, p, q)
     lhs = gp * gq
     rhs = g_pq + g_pqi
-    return {
-        "name": "skein",
-        "lhs": repr(lhs),
-        "rhs": repr(rhs),
-        "equal": lhs == rhs,
-        "residual": "exact" if lhs == rhs else repr(lhs - rhs),
-    }
+    return {**exact_report("skein", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 def goldman_check(g: FatGraph, p, q, omega=None) -> dict:
     """{G_P, G_Q} = (1/2) G_PQ - (1/2) G_PQ^-1, exactly."""
     if omega is None:
         omega = g.omega_matrix()
-    gp = geodesic_function(g, p)
-    gq = geodesic_function(g, q)
-    g_pq, g_pqi = product_traces(g, p, q)
+    gp, gq, g_pq, g_pqi = pair_traces(g, p, q)
     lhs = poisson_bracket(gp, gq, omega)
     rhs = Fraction(1, 2) * g_pq - Fraction(1, 2) * g_pqi
-    return {
-        "name": "goldman",
-        "lhs": repr(lhs),
-        "rhs": repr(rhs),
-        "equal": lhs == rhs,
-        "residual": "exact" if lhs == rhs else repr(lhs - rhs),
-    }
+    return {**exact_report("goldman", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 # -- the once-punctured torus -------------------------------------------------
@@ -200,11 +191,14 @@ def torus_casimir(g: FatGraph) -> ExpPoly:
 # -- random paths -------------------------------------------------------------
 
 
-def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, start=None, max_tries: int = 5000):
+_MAX_TRIES = 5000
+
+
+def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, start=None):
     """Seeded random closed path word (rejection sampling over random turn walks)."""
     if min_len < 2 or max_len < min_len:
         raise PathError("need 2 <= min_len <= max_len")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         length = rng.randint(min_len, max_len)
         d0 = start if start is not None else rng.randrange(g.n_darts)
         path = [d0]
@@ -212,7 +206,7 @@ def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, sta
             path.append(rng.choice(next_darts(g, path[-1])))
         if d0 in next_darts(g, path[-1]):
             return tuple(path)
-    raise PathError(f"no closed path found in {max_tries} tries")
+    raise PathError(f"no closed path found in {_MAX_TRIES} tries")
 
 
 # -- Appendix-style R-matrix checks ------------------------------------------
@@ -230,9 +224,10 @@ _SIGN_TENSOR = np.diag([1.0, -1.0, -1.0, 1.0])
 _PERMUTATION_R = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
 )
+_RMATRIX_TOL = 1e-12
 
 
-def rmatrix_local_check(z1: float, z4: float, tol: float = 1e-12) -> dict:
+def rmatrix_local_check(z1: float, z4: float) -> dict:
     """{X_{z1} (x) X_{z4}} = -(1/4) (X (x) X) S for the crossing with {z1, z4} = -1.
 
     The derivative tensor dX/dz1 (x) dX/dz4 times the edge bracket -1 must
@@ -246,11 +241,11 @@ def rmatrix_local_check(z1: float, z4: float, tol: float = 1e-12) -> dict:
         "z": [z1, z4],
         "edge_bracket": -1,
         "residual": residual,
-        "equal": residual <= tol,
+        "equal": residual <= _RMATRIX_TOL,
     }
 
 
-def rmatrix_global_check(A: np.ndarray, B: np.ndarray, tol: float = 1e-12) -> dict:
+def rmatrix_global_check(A: np.ndarray, B: np.ndarray) -> dict:
     """Tr1 Tr2[(A (x) B)(R - 1/2)] = Tr(AB) - (1/2) Tr A Tr B."""
     lhs = np.trace(np.kron(A, B) @ (_PERMUTATION_R - 0.5 * np.eye(4)))
     rhs = np.trace(A @ B) - 0.5 * np.trace(A) * np.trace(B)
@@ -260,5 +255,5 @@ def rmatrix_global_check(A: np.ndarray, B: np.ndarray, tol: float = 1e-12) -> di
         "lhs": float(lhs),
         "rhs": float(rhs),
         "residual": residual,
-        "equal": residual <= tol,
+        "equal": residual <= _RMATRIX_TOL,
     }

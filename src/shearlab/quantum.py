@@ -18,19 +18,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from .fatgraph import FatGraph
-from .geodesics import (
-    geodesic_function,
-    graph_simple,
-    mat_inv,
-    mat_mul,
-    mat_trace,
-    normalized_path_matrix,
-)
+from .geodesics import geodesic_function, graph_simple, product_traces
 
 Q_HALF = LaurentPoly.rho_power(2)  # q^{1/2}
 Q_MINUS_HALF = LaurentPoly.rho_power(-2)  # q^{-1/2}
@@ -57,10 +51,6 @@ def quantum_geodesic(g: FatGraph, path) -> QGeodesic:
     return QGeodesic(tuple(path), QExpPoly.from_classical(classical))
 
 
-def _check_star_fixed(op: QExpPoly) -> bool:
-    return op.star() == op
-
-
 def qskein_decompose(g: FatGraph, A: QGeodesic, B: QGeodesic) -> tuple:
     """Resolve A o B = q^{-1/2} G_AB + q^{1/2} G_{AB^-1}.
 
@@ -71,15 +61,12 @@ def qskein_decompose(g: FatGraph, A: QGeodesic, B: QGeodesic) -> tuple:
     """
     omega = g.omega_matrix()
     ab = qmul(A.operator, B.operator, omega)
-    P = normalized_path_matrix(g, A.path)
-    Q = normalized_path_matrix(g, B.path)
-    tr_pq = mat_trace(mat_mul(P, Q))
-    tr_pqi = mat_trace(mat_mul(P, mat_inv(Q)))
+    tr_pq, tr_pqi = product_traces(g, A.path, B.path)
     weyl_abinv = QExpPoly.from_classical(tr_pqi)
     remainder = ab - weyl_abinv.scale(Q_HALF)
     g_ab_quantum = remainder.scale(Q_HALF)
 
-    star_ok = _check_star_fixed(g_ab_quantum)
+    star_ok = g_ab_quantum.star() == g_ab_quantum
     classical_ok = g_ab_quantum.at_rho_one() == tr_pq
     if not star_ok:
         raise QuantumError("non-star-fixed remainder: skein convention failure")
@@ -114,9 +101,7 @@ def qcommutator_check(g: FatGraph, A: QGeodesic, B: QGeodesic) -> dict:
     ba = qmul(B.operator, A.operator, omega)
     qcomm = ab.scale(Q_HALF) - ba.scale(Q_MINUS_HALF)
 
-    P = normalized_path_matrix(g, A.path)
-    Q = normalized_path_matrix(g, B.path)
-    weyl_abinv = QExpPoly.from_classical(mat_trace(mat_mul(P, mat_inv(Q))))
+    weyl_abinv = QExpPoly.from_classical(product_traces(g, A.path, B.path)[1])
 
     c_rho = None
     weyl_terms = weyl_abinv.terms
@@ -155,8 +140,7 @@ def empty_loop_constant(g: FatGraph, A: QGeodesic) -> tuple:
     """
     omega = g.omega_matrix()
     aa = qmul(A.operator, A.operator, omega)
-    P = normalized_path_matrix(g, A.path)
-    tr_p2 = mat_trace(mat_mul(P, P))
+    tr_p2, _ = product_traces(g, A.path, A.path)
     candidate = QExpPoly.from_classical(tr_p2)
     diff = aa - candidate
 
@@ -197,9 +181,8 @@ def quantum_centrality_check(g: FatGraph, A: QGeodesic) -> dict:
 @dataclass(frozen=True)
 class QDilogParams:
     hbar: float
-    p_max: float | None = None  # truncation half-width (auto if None)
     detour: float | None = None  # height of the shifted contour above p = 0
-    nodes: int = 4096
+    nodes: ClassVar[int] = 4096  # trapezoid intervals on [-40/decay, 40/decay]
 
 
 def phi_hbar(z: complex, params: QDilogParams) -> complex:
@@ -223,7 +206,7 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     delta = params.detour if params.detour is not None else 0.5 * min(1.0, 1.0 / h)
     if not 0 < delta < min(1.0, 1.0 / h):
         raise QuantumError("contour height must sit between p = 0 and the first poles")
-    p_max = params.p_max if params.p_max is not None else 40.0 / decay
+    p_max = 40.0 / decay
     t = np.linspace(-p_max, p_max, params.nodes + 1)
     p = t + 1j * delta
     integrand = np.exp(-1j * p * z) / (np.sinh(math.pi * p) * np.sinh(math.pi * p * h))
@@ -232,11 +215,9 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     return complex(-(math.pi * h / 2.0) * integral)
 
 
-def qdilog_check(kind: str, z: complex, hbar: float, params: QDilogParams | None = None) -> dict:
+def qdilog_check(kind: str, z: complex, hbar: float) -> dict:
     """Residual of one of the quantum dilogarithm identities."""
-    params = params or QDilogParams(hbar=hbar)
-    if params.hbar != hbar:
-        params = QDilogParams(hbar=hbar, p_max=params.p_max, detour=params.detour, nodes=params.nodes)
+    params = QDilogParams(hbar=hbar)
     z = complex(z)
     if kind == "difference":
         value = phi_hbar(z, params) - phi_hbar(-z, params)

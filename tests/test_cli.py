@@ -205,6 +205,48 @@ def test_check_output_matches_golden(capsys, suite):
     assert out.encode() == (GOLDEN / f"{suite}.json").read_bytes()
 
 
+def _assert_matches_up_to_floats(got, want, where="report"):
+    """Equal structure and non-float values; floats agree to 1e-9 relative."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9, abs=0.0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_up_to_floats(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_up_to_floats(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("suite", ["casimir", "relations", "qdilog"])
+def test_float_check_output_matches_golden(capsys, suite):
+    # the float suites: every non-float field exactly, floats to 1e-9 relative,
+    # which leaves room for last-digit differences between libm builds
+    code, out, _ = _run(capsys, "check", suite)
+    assert code == 0
+    _assert_matches_up_to_floats(json.loads(out), json.loads((GOLDEN / f"{suite}.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "sigma, z, named",
+    [
+        ([2.9, 3, 4, 5, 0, 1], [0, 0, 0], "sigma[0] = 2.9"),
+        ([2, 3, "4", 5, 0, 1], [0, 0, 0], "sigma[2] = '4'"),
+        ([True, 3, 4, 5, 0, 1], [0, 0, 0], "sigma[0] = True"),
+        ([2, 3, 4, 5, 0, 1], [0, True, 0], "z[1] = True"),
+    ],
+    ids=["float_dart", "string_dart", "bool_dart", "bool_label"],
+)
+def test_graph_json_is_strict(tmp_path, capsys, sigma, z, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sigma": sigma, "z": z}))
+    code, out, err = _run(capsys, "graph", "info", str(path))
+    assert code == 2 and out == "" and named in err
+
+
 @pytest.mark.parametrize(
     "sigma, named",
     [([9, 0, 3, 2], "sigma[0] = 9"), ([1, 0, 3, 2], "vertex orbit [0, 1] has size 2")],

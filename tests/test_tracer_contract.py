@@ -58,3 +58,18 @@ def test_tracer_counts_ring_work_and_restores(tracing):
     assert stats["exppoly.bracket"]["calls"] == 1
     assert exppoly.qmul is qmul and quantum.qmul is qmul and shearlab.qmul is qmul
     assert all(exppoly.ExpPoly.__dict__[name] is fn for name, fn in originals.items())
+
+
+def test_each_word_compiles_once_per_check(tracing):
+    torus = once_punctured_torus()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for check in (geodesics.skein_check, geodesics.goldman_check):
+            tracer.reset()
+            assert check(torus, geodesics.TORUS_A, geodesics.TORUS_B)["equal"]
+            assert tracer.snapshot()["geodesics.compile"]["calls"] == 2, check.__name__
+        tracer.active = False
+    finally:
+        tracer.uninstall()
