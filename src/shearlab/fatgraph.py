@@ -18,6 +18,9 @@ class FatGraphError(ValueError):
     pass
 
 
+_LABEL_TYPES = (int, float, Fraction)
+
+
 @dataclass(frozen=True)
 class TopologyReport:
     vertices: int
@@ -50,8 +53,13 @@ class FatGraph:
     __slots__ = ("sigma", "z")
 
     def __init__(self, sigma, z):
-        sigma = tuple(int(d) for d in sigma)
-        z = tuple(z)
+        sigma, z = tuple(sigma), tuple(z)
+        for i, d in enumerate(sigma):
+            if type(d) is not int:
+                raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
+        for i, x in enumerate(z):
+            if not isinstance(x, _LABEL_TYPES) or isinstance(x, bool) or not math.isfinite(x):
+                raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
         if len(sigma) % 2:
             raise FatGraphError("dart count must be even")
         if len(z) != len(sigma) // 2:
@@ -124,21 +132,22 @@ class FatGraph:
                 raise FatGraphError(
                     f"vertex orbit {list(orbit)} has size {len(orbit)}, expected 3 (dart {orbit[0]})"
                 )
-        E = self.n_edges
-        V = n // 3
-        F = len(self.faces())
-        chi = V - E + F
-        if chi % 2:
-            raise FatGraphError(f"Euler characteristic {chi} is odd")
-        genus = (2 - chi) // 2
-        holes = F
-        if genus < 0:
-            raise FatGraphError(f"negative genus from Euler data (V={V}, E={E}, F={F})")
-        if E != 6 * genus - 6 + 3 * holes or V != 4 * genus - 4 + 2 * holes:
-            raise FatGraphError(
-                f"inconsistent Euler data: V={V}, E={E}, F={F}, genus={genus}, holes={holes}"
-            )
-        return TopologyReport(V, E, F, genus, holes)
+        # a connected graph is one surface, so V - E + F = 2 - 2g fixes the genus
+        if not n:
+            raise FatGraphError("graph is not connected: it has no darts")
+        reached, stack = {0}, [0]
+        while stack:
+            d = stack.pop()
+            for nd in (sigma[d], opposite(d)):
+                if nd not in reached:
+                    reached.add(nd)
+                    stack.append(nd)
+        if len(reached) != n:
+            lost = min(set(range(n)) - reached)
+            raise FatGraphError(f"graph is not connected: dart {lost} is not reachable from dart 0")
+        E, V, F = self.n_edges, n // 3, len(self.faces())
+        genus = (2 - V + E - F) // 2
+        return TopologyReport(V, E, F, genus, F)
 
     # -- face data ---------------------------------------------------------
 
@@ -190,12 +199,6 @@ class FatGraph:
     def from_json(cls, data) -> "FatGraph":
         if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("sigma", "z")):
             raise FatGraphError('graph JSON must be an object with "sigma" and "z" lists')
-        for i, d in enumerate(data["sigma"]):
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
-        for i, x in enumerate(data["z"]):
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-                raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
         return cls(data["sigma"], data["z"])
 
     @classmethod

@@ -269,13 +269,7 @@ def torus_flip_map(labels):
     g = once_punctured_torus(labels)
     after = flip(g, 0).after
     # anticlockwise edge cycle at the after-vertex of dart 0 is (e0, e2, e1)
-    cycle = [0]
-    d = after.sigma[0]
-    while d != 0:
-        cycle.append(d)
-        d = after.sigma[d]
-    order = [edge_of(d) for d in cycle]
-    return tuple(float(after.z[e]) for e in order)
+    return tuple(float(after.z[edge_of(d)]) for d in after.vertices()[0])
 
 
 def torus_modular_check(labels) -> dict:

@@ -32,11 +32,13 @@ def next_darts(g: FatGraph, d: int):
 
 
 def validate_path(g: FatGraph, path) -> tuple:
-    path = tuple(int(d) for d in path)
+    path = tuple(path)
     if not path:
         raise PathError("empty path word")
     n = g.n_darts
     for d in path:
+        if type(d) is not int:
+            raise PathError(f"dart {d!r} is not an integer dart index")
         if not 0 <= d < n:
             raise PathError(f"dart {d} out of range")
     for k, d in enumerate(path):
@@ -156,12 +158,10 @@ def skein_check(g: FatGraph, p, q) -> dict:
     return {**exact_report("skein", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
-def goldman_check(g: FatGraph, p, q, omega=None) -> dict:
+def goldman_check(g: FatGraph, p, q) -> dict:
     """{G_P, G_Q} = (1/2) G_PQ - (1/2) G_PQ^-1, exactly."""
-    if omega is None:
-        omega = g.omega_matrix()
     gp, gq, g_pq, g_pqi = pair_traces(g, p, q)
-    lhs = poisson_bracket(gp, gq, omega)
+    lhs = poisson_bracket(gp, gq, g.omega_matrix())
     rhs = Fraction(1, 2) * g_pq - Fraction(1, 2) * g_pqi
     return {**exact_report("goldman", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
 

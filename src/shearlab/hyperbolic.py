@@ -42,19 +42,9 @@ class UhpPoint:
     def infinity(cls) -> "UhpPoint":
         return cls(0, 0, True)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "UhpPoint":
-        if z.imag > 0:
-            return cls.interior(z.real, z.imag)
-        return cls.boundary(z.real)
-
     @property
     def is_interior(self) -> bool:
         return not self.at_infinity and self.y > 0
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.at_infinity or self.y == 0
 
     def as_complex(self) -> complex:
         if self.at_infinity:
@@ -225,12 +215,12 @@ class GeodesicArc:
     def vertical(self) -> bool:
         return self.radius is None
 
-    def contains(self, z: UhpPoint, tol: float = _TOL) -> bool:
+    def contains(self, z: UhpPoint) -> bool:
         if z.at_infinity:
             return self.vertical
         if self.vertical:
-            return abs(float(z.x) - self.center) <= tol
-        return abs(abs(z.as_complex() - self.center) - self.radius) <= tol
+            return abs(float(z.x) - self.center) <= _TOL
+        return abs(abs(z.as_complex() - self.center) - self.radius) <= _TOL
 
 
 def geodesic_through(z: UhpPoint, w: UhpPoint) -> GeodesicArc:

@@ -80,6 +80,31 @@ def test_constructor_rejects_bad_shapes():
         FatGraph([2, 3, 4, 5, 0, 1], (0, 0))
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [[2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7], [2, 3, 4, 5, 0, 1, 8, 11, 10, 7, 6, 9], []],
+    ids=["two_tori", "torus_and_theta", "empty"],
+)
+def test_validate_rejects_disconnected(sigma):
+    with pytest.raises(FatGraphError, match="not connected"):
+        FatGraph(sigma, (0,) * (len(sigma) // 2)).validate()
+
+
+@pytest.mark.parametrize(
+    "sigma, z, entry",
+    [
+        ([2.9, 3, 4, 5, 0, 1], (0, 0, 0), "sigma[0] = 2.9"),
+        ([2, 3, 4, 5, 0, True], (0, 0, 0), "sigma[5] = True"),
+        ([2, 3, 4, 5, 0, 1], (0, float("nan"), 0), "z[1] = nan"),
+    ],
+    ids=["float_dart", "bool_dart", "nan_label"],
+)
+def test_constructor_rejects_bad_entries(sigma, z, entry):
+    with pytest.raises(FatGraphError) as exc:
+        FatGraph(sigma, z)
+    assert entry in str(exc.value)
+
+
 def test_immutability():
     g = once_punctured_torus()
     with pytest.raises(AttributeError):

@@ -58,6 +58,11 @@ def test_validate_rejects():
         validate_path(TORUS, (0, 2))  # not joined at a vertex
 
 
+def test_validate_rejects_non_integer_darts():
+    with pytest.raises(PathError, match="0.7"):
+        validate_path(TORUS, [0.7, 5.2])
+
+
 def test_path_inverse_and_simplicity():
     assert path_inverse(TORUS_A) == (4, 1)
     validate_path(TORUS, path_inverse(TORUS_A))
