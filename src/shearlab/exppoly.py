@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -123,9 +123,18 @@ class ExpPoly:
         return self._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        """One merge pass; the terms keep the insertion order of ``self + (-other)``."""
         if isinstance(other, (int, Fraction)):
             other = self._scalar(other)
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) - c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return self._raw(terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -207,12 +216,19 @@ class ExpPoly:
 
 
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
-    """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term."""
+    """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
+
+    The row m^T omega is formed once per left term and dotted with each right
+    exponent vector.
+    """
     f._check(g)
     terms = {}
+    right = g.terms.items()
+    columns = tuple(zip(*omega))
     for m, a in f.terms.items():
-        for n, b in g.terms.items():
-            k = pairing(m, n, omega)
+        row = [sum(map(mul, m, col)) for col in columns]
+        for n, b in right:
+            k = sum(map(mul, row, n))
             if not k:
                 continue
             key = tuple(map(add, m, n))
@@ -221,7 +237,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-    return f._raw({m: _as_coefficient(Fraction(s, 4)) for m, s in terms.items()})
+    return f._raw({m: s // 4 if not s % 4 else Fraction(s, 4) for m, s in terms.items()})
 
 
 class LaurentPoly(ExpPoly):

@@ -58,7 +58,11 @@ class FatGraph:
             if type(d) is not int:
                 raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
         for i, x in enumerate(z):
-            if not isinstance(x, _LABEL_TYPES) or isinstance(x, bool) or not math.isfinite(x):
+            try:
+                finite = isinstance(x, _LABEL_TYPES) and not isinstance(x, bool) and math.isfinite(x)
+            except OverflowError:  # an int or Fraction beyond the float range
+                finite = False
+            if not finite:
                 raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
         if len(sigma) % 2:
             raise FatGraphError("dart count must be even")

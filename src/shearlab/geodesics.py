@@ -130,10 +130,22 @@ def geodesic_function(g: FatGraph, path) -> ExpPoly:
 
 
 def pair_traces(g: FatGraph, p, q) -> tuple:
-    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the sign-normalized matrices; each word compiles once."""
-    P = normalized_path_matrix(g, p)
-    Q = normalized_path_matrix(g, q)
-    return mat_trace(P), mat_trace(Q), mat_trace(mat_mul(P, Q)), mat_trace(mat_mul(P, mat_inv(Q)))
+    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the sign-normalized matrices; each word compiles once.
+
+    Only the two product traces are formed, in 6 ring products rather than the
+    16 of two full matrix products.  With X = P01 Q10 + P10 Q01,
+
+        Tr PQ    = P00 Q00 + P11 Q11 + X,
+        Tr PQ^-1 = P00 Q11 + P11 Q00 - X,
+
+    the second through the adjugate Q^-1 = [[Q11, -Q01], [-Q10, Q00]].  Tr PQ^-1
+    is not taken as Tr P Tr Q - Tr PQ: that is the skein relation itself, which
+    skein_check would then confirm by construction.
+    """
+    (p00, p01), (p10, p11) = normalized_path_matrix(g, p)
+    (q00, q01), (q10, q11) = normalized_path_matrix(g, q)
+    x = p01 * q10 + p10 * q01
+    return p00 + p11, q00 + q11, p00 * q00 + p11 * q11 + x, p00 * q11 + p11 * q00 - x
 
 
 def product_traces(g: FatGraph, p, q):

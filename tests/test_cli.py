@@ -173,6 +173,14 @@ def test_geodesic_eval_overflow_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_graph_validate_rejects_label_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge_int.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": [%s, 0, 0]}' % (10**400))
+    code, out, err = _run(capsys, "graph", "validate", str(path))
+    assert code == 2 and out == ""
+    assert "label z[0] = 1000" in err and "not a finite number" in err
+
+
 def test_emit_is_strict_json(tmp_path, capsys):
     with pytest.raises(ValueError):
         _emit({"value": float("inf")})

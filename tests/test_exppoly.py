@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from shearlab.exppoly import (
     poisson_bracket,
     qmul,
 )
+from shearlab.fatgraph import tetrahedron
 
 DIM = 3
 OMEGA = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -235,3 +237,40 @@ def test_quantum_terms_view_round_trips(q):
 def test_laurent_arithmetic_stays_laurent(a, b, c):
     for x in (a + b, a - b, a * b, -a, c * a, a * c, a + c, c - a):
         assert type(x) is LaurentPoly and x.dim == 1
+
+
+def _bracket_reference(f, g, omega):
+    """Term-wise bracket: (1/4) m^T omega n per term pair, through pairing."""
+    out = ExpPoly.zero(f.dim)
+    for m, a in f.terms.items():
+        for n, b in g.terms.items():
+            out = out + ExpPoly.monomial(tuple(map(add, m, n)), Fraction(pairing(m, n, omega), 4) * a * b)
+    return out
+
+
+def _int_polys(dim):
+    exps = st.tuples(*([st.integers(min_value=-3, max_value=3)] * dim))
+    return st.dictionaries(exps, st.integers(min_value=-6, max_value=6), max_size=5).map(
+        lambda d: ExpPoly(dim, d)
+    )
+
+
+@pytest.mark.parametrize("omega", [OMEGA, tetrahedron().omega_matrix()], ids=["omega3", "tetrahedron"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_termwise_pairing(omega, data):
+    f, g, h = (data.draw(_int_polys(len(omega))) for _ in range(3))
+    fg = poisson_bracket(f, g, omega)
+    # a bracket of a bracket carries the 1/4 twice, so Fraction coefficients enter
+    fgh = poisson_bracket(fg, h, omega)
+    assert fg == _bracket_reference(f, g, omega)
+    assert fgh == _bracket_reference(fg, h, omega)
+    for c in (*fg.terms.values(), *fgh.terms.values()):
+        assert type(c) is int or c.denominator > 1
+
+
+@settings(max_examples=80)
+@given(polys, polys)
+def test_subtraction_keeps_the_order_of_adding_the_negative(x, y):
+    for z in (y, x, x + y, 3, Fraction(1, 2)):
+        assert list((x - z).terms.items()) == list((x + (-z)).terms.items())

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,12 @@ def test_constructor_rejects_bad_entries(sigma, z, entry):
     with pytest.raises(FatGraphError) as exc:
         FatGraph(sigma, z)
     assert entry in str(exc.value)
+
+
+@pytest.mark.parametrize("label", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_constructor_rejects_labels_beyond_float_range(label):
+    with pytest.raises(FatGraphError, match=r"label z\[1\] = .* is not a finite number"):
+        once_punctured_torus((0, label, 0))
 
 
 def test_immutability():

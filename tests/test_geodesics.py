@@ -20,7 +20,9 @@ from shearlab.geodesics import (
     mat_eq,
     mat_inv,
     mat_mul,
+    mat_trace,
     normalized_path_matrix,
+    pair_traces,
     path_inverse,
     path_matrix,
     product_traces,
@@ -168,6 +170,23 @@ def test_path_matrix_matches_generic_product():
             M = path_matrix(g, p)
             assert mat_eq(M, _reference_path_matrix(g, p))
             assert mat_det(M) == 1
+
+
+def test_pair_traces_match_full_matrix_products():
+    rng = random.Random(31)
+    for g in (TORUS, TET):
+        for _ in range(30):
+            p = random_closed_path(g, rng, 2, 12)
+            q = random_closed_path(g, rng, 2, 12)
+            P = normalized_path_matrix(g, p)
+            Q = normalized_path_matrix(g, q)
+            expected = (
+                mat_trace(P),
+                mat_trace(Q),
+                mat_trace(mat_mul(P, Q)),
+                mat_trace(mat_mul(P, mat_inv(Q))),
+            )
+            assert pair_traces(g, p, q) == expected
 
 
 # -- identities ---------------------------------------------------------------

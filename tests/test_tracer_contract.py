@@ -73,3 +73,21 @@ def test_each_word_compiles_once_per_check(tracing):
         tracer.active = False
     finally:
         tracer.uninstall()
+
+
+def test_pair_products_form_only_the_traces(tracing):
+    torus = once_punctured_torus()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        # 6 products for Tr PQ and Tr PQ^-1, then Tr P Tr Q (skein) or the two halves (Goldman)
+        for check, products in ((geodesics.skein_check, 7), (geodesics.goldman_check, 8)):
+            tracer.reset()
+            assert check(torus, geodesics.TORUS_A, geodesics.TORUS_B)["equal"]
+            stats = tracer.snapshot()
+            assert stats["exppoly.mul"]["calls"] == products, check.__name__
+            assert stats.get("geodesics.mat_mul", {}).get("calls", 0) == 0, check.__name__
+        tracer.active = False
+    finally:
+        tracer.uninstall()
