@@ -236,15 +236,14 @@ def run(argv=None) -> int:
             if args.graph_command == "validate":
                 _emit({"status": "ok", "topology": report.to_json()})
             else:
+                faces = g.faces()
+                perimeters = [g.face_perimeter(f) for f in faces]
                 _emit(
                     {
-                        "faces": [list(f) for f in g.faces()],
+                        "faces": [list(f) for f in faces],
                         "graph": g.to_json(),
                         "omega": g.omega_matrix(),
-                        "perimeters": [
-                            {"multiplicity": list(g.face_perimeter(f)[0]), "value": g.face_perimeter(f)[1]}
-                            for f in g.faces()
-                        ],
+                        "perimeters": [{"multiplicity": list(m), "value": v} for m, v in perimeters],
                         "topology": report.to_json(),
                     }
                 )

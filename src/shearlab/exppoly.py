@@ -188,12 +188,19 @@ class ExpPoly:
         return self.terms.get(tuple(m), 0)
 
     def evaluate(self, z_values) -> float:
-        """Substitute real label values and return the real value."""
+        """Substitute real label values and return the real value.
+
+        Terms are summed in insertion order, each as
+        ``float(c) * exp((m . z) / 2)`` with the dot product summed left to
+        right.  That order and that arithmetic are part of the output
+        contract: CLI reports and the flip-walk traces depend on the exact
+        float this returns.
+        """
         if len(z_values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} values, got {len(z_values)}")
         total = 0.0
         for m, c in self.terms.items():
-            total += float(c) * math.exp(sum(mi * zi for mi, zi in zip(m, z_values)) / 2.0)
+            total += float(c) * math.exp(sum(map(mul, m, z_values)) / 2.0)
         return total
 
     def sorted_terms(self):

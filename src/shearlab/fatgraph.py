@@ -47,6 +47,46 @@ def edge_of(d: int) -> int:
     return d >> 1
 
 
+def _check_labels(z):
+    """The label rule: every label is a finite int, float or Fraction, and no bool."""
+    for i, x in enumerate(z):
+        try:
+            finite = isinstance(x, _LABEL_TYPES) and not isinstance(x, bool) and math.isfinite(x)
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite = False
+        if not finite:
+            raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
+
+
+def _walk(step):
+    """The orbits of the dart map ``step`` (a sequence), each from its smallest dart."""
+    seen = [False] * len(step)
+    out = []
+    for d0 in range(len(step)):
+        if seen[d0]:
+            continue
+        orbit = []
+        d = d0
+        while not seen[d]:
+            seen[d] = True
+            orbit.append(d)
+            d = step[d]
+        out.append(tuple(orbit))
+    return tuple(out)
+
+
+def _multiplicity(darts, n_edges):
+    mult = [0] * n_edges
+    for d in darts:
+        mult[edge_of(d)] += 1
+    return tuple(mult)
+
+
+# sigma -> FatGraph._orbits(), least recently used first
+_TABLES: dict = {}
+_TABLE_SIZE = 256
+
+
 class FatGraph:
     """Immutable trivalent ribbon graph with shear labels."""
 
@@ -57,13 +97,21 @@ class FatGraph:
         for i, d in enumerate(sigma):
             if type(d) is not int:
                 raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
-        for i, x in enumerate(z):
-            try:
-                finite = isinstance(x, _LABEL_TYPES) and not isinstance(x, bool) and math.isfinite(x)
-            except OverflowError:  # an int or Fraction beyond the float range
-                finite = False
-            if not finite:
-                raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
+        self._fill(sigma, z)
+
+    @classmethod
+    def _on_checked_sigma(cls, sigma, z) -> "FatGraph":
+        """A graph on the sigma tuple of an already-built graph: only the labels are checked."""
+        g = object.__new__(cls)
+        g._fill(sigma, tuple(z))
+        return g
+
+    def _fill(self, sigma, z):
+        """Apply the label rule and the count checks, then set both (tuple) fields."""
+        for x in z:
+            if type(x) is not float or not math.isfinite(x):
+                _check_labels(z)  # anything but finite floats takes the full rule
+                break
         if len(sigma) % 2:
             raise FatGraphError("dart count must be even")
         if len(z) != len(sigma) // 2:
@@ -85,7 +133,7 @@ class FatGraph:
         return len(self.sigma) // 2
 
     def with_labels(self, z) -> "FatGraph":
-        return FatGraph(self.sigma, z)
+        return FatGraph._on_checked_sigma(self.sigma, z)
 
     def __eq__(self, other):
         if not isinstance(other, FatGraph):
@@ -95,28 +143,33 @@ class FatGraph:
     def __repr__(self):
         return f"FatGraph(sigma={list(self.sigma)}, z={list(self.z)})"
 
-    def _orbits(self, step):
-        seen = [False] * self.n_darts
-        out = []
-        for d0 in range(self.n_darts):
-            if seen[d0]:
-                continue
-            orbit = []
-            d = d0
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                d = step(d)
-            out.append(tuple(orbit))
-        return out
+    def _orbits(self):
+        """(vertex orbits, {face orbit: edge multiplicity vector}) of this sigma."""
+        sigma = self.sigma
+        vertices = _walk(sigma)
+        faces = _walk([sigma[opposite(d)] for d in range(len(sigma))])
+        return vertices, {face: _multiplicity(face, self.n_edges) for face in faces}
+
+    def _table(self):
+        """The combinatorics of this sigma, computed by ``_orbits`` once per sigma.
+
+        The last ``_TABLE_SIZE`` sigmas used are kept; labels play no part.
+        """
+        table = _TABLES.pop(self.sigma, None)
+        if table is None:
+            table = self._orbits()
+            if len(_TABLES) >= _TABLE_SIZE:
+                del _TABLES[next(iter(_TABLES))]  # the least recently used
+        _TABLES[self.sigma] = table
+        return table
 
     def vertices(self):
         """Sigma-orbits, each listed anticlockwise from its smallest dart."""
-        return self._orbits(lambda d: self.sigma[d])
+        return list(self._table()[0])
 
     def faces(self):
         """Orbits of d -> sigma(opposite(d)), each from its smallest dart."""
-        return self._orbits(lambda d: self.sigma[opposite(d)])
+        return list(self._table()[1])
 
     # -- validation --------------------------------------------------------
 
@@ -157,10 +210,8 @@ class FatGraph:
 
     def face_multiplicity(self, face) -> tuple:
         """How many times each edge appears on the face boundary."""
-        mult = [0] * self.n_edges
-        for d in face:
-            mult[edge_of(d)] += 1
-        return tuple(mult)
+        mult = self._table()[1].get(tuple(face))
+        return mult if mult is not None else _multiplicity(face, self.n_edges)
 
     def face_perimeter(self, face):
         """Multiplicity-weighted label sum, as (exponent vector, numeric value)."""

@@ -30,8 +30,10 @@ up to relabeling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .fatgraph import FatGraph, FatGraphError, edge_of, opposite
 from .geodesics import PathError, next_darts, validate_path
@@ -64,13 +66,15 @@ class FlipRecord:
         }
 
 
-def flip(g: FatGraph, e: int) -> FlipRecord:
-    if not 0 <= e < g.n_edges:
-        raise FatGraphError(f"edge {e} out of range")
+@functools.lru_cache(maxsize=256)
+def _flip_plan(sigma, e):
+    """The label-free part of flipping ``e``, or None for a self-loop.
+
+    Returns (new sigma, corners (P1, Q2, P2, Q1), rule, edges of P1, P2, Q1, Q2).
+    """
     a, b = 2 * e, 2 * e + 1
-    sigma = list(g.sigma)
     if b in (sigma[a], sigma[sigma[a]]):
-        raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
+        return None
     p1, q1 = sigma[a], sigma[sigma[a]]
     p2, q2 = sigma[b], sigma[sigma[b]]
 
@@ -85,15 +89,33 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
         # new vertex cycles (a, Q2, P1) and (b, Q1, P2)
         new[a], new[q2], new[p1] = q2, p1, a
         new[b], new[q1], new[p2] = q1, p2, b
+    return tuple(new), (p1, q2, p2, q1), rule, tuple(edge_of(d) for d in (p1, p2, q1, q2))
+
+
+def flip(g: FatGraph, e: int) -> FlipRecord:
+    """Flip edge ``e`` of ``g``.
+
+    The re-glued sigma, the corners and the rule depend on ``(g.sigma, e)``
+    alone and are planned once per pair (a small LRU cache); only the label
+    law runs per call.  The after-graph's labels are still checked by the
+    ``FatGraph`` label rule, so an overflow to inf raises ``FatGraphError``.
+    """
+    if not 0 <= e < g.n_edges:
+        raise FatGraphError(f"edge {e} out of range")
+    plan = _flip_plan(g.sigma, e)
+    if plan is None:
+        raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
+    sigma, corners, rule, (ep1, ep2, eq1, eq2) = plan
 
     ze = float(g.z[e])
     z = [float(x) for x in g.z]
     z[e] = -ze if ze != 0.0 else 0.0
-    for corner, delta in ((p1, phi(ze)), (p2, phi(ze)), (q1, -phi(-ze)), (q2, -phi(-ze))):
-        z[edge_of(corner)] += delta
-
-    after = FatGraph(new, z)
-    return FlipRecord(e, (p1, q2, p2, q1), g, after, rule)
+    up, down = phi(ze), -phi(-ze)
+    z[ep1] += up
+    z[ep2] += up
+    z[eq1] += down
+    z[eq2] += down
+    return FlipRecord(e, corners, g, FatGraph._on_checked_sigma(sigma, z), rule)
 
 
 def transport_path(record: FlipRecord, path):
@@ -242,11 +264,16 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     }
 
 
+def _perimeters(g: FatGraph):
+    """Each face's perimeter value, summed as ``FatGraph.face_perimeter`` sums it."""
+    return [sum(map(mul, mult, g.z)) for mult in g._table()[1].values()]
+
+
 def check_perimeters(g: FatGraph, e: int) -> dict:
     """Every face perimeter is invariant under the flip of e."""
     after = flip(g, e).after
-    before_vals = sorted(g.face_perimeter(f)[1] for f in g.faces())
-    after_vals = sorted(after.face_perimeter(f)[1] for f in after.faces())
+    before_vals = sorted(_perimeters(g))
+    after_vals = sorted(_perimeters(after))
     residual = max(abs(x - y) for x, y in zip(before_vals, after_vals))
     return {
         "name": "perimeter",

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from operator import add
 
@@ -15,7 +17,8 @@ from shearlab.exppoly import (
     poisson_bracket,
     qmul,
 )
-from shearlab.fatgraph import tetrahedron
+from shearlab.fatgraph import once_punctured_torus, tetrahedron
+from shearlab.geodesics import geodesic_function, random_closed_path
 
 DIM = 3
 OMEGA = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -274,3 +277,30 @@ def test_bracket_matches_termwise_pairing(omega, data):
 def test_subtraction_keeps_the_order_of_adding_the_negative(x, y):
     for z in (y, x, x + y, 3, Fraction(1, 2)):
         assert list((x - z).terms.items()) == list((x + (-z)).terms.items())
+
+
+# -- evaluate, bit for bit ----------------------------------------------------
+
+
+def _evaluate_reference(f, z):
+    """The generator form of evaluate: same terms, same order, same float steps."""
+    total = 0.0
+    for m, c in f.terms.items():
+        total += float(c) * math.exp(sum(mi * zi for mi, zi in zip(m, z)) / 2.0)
+    return total
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, tetrahedron], ids=["torus", "tetrahedron"])
+def test_evaluate_matches_the_generator_form_bit_for_bit(make):
+    g = make()
+    rng = random.Random(31)
+    words = [random_closed_path(g, rng, 2, 10) for _ in range(30)]
+    polys = [geodesic_function(g, w) for w in words]
+    omega = g.omega_matrix()
+    units = [ExpPoly.monomial([int(i == k) for i in range(g.n_edges)]) for k in range(g.n_edges)]
+    brackets = (poisson_bracket(p, u, omega) for p in polys for u in units)
+    bracket = next(b for b in brackets if any(isinstance(c, Fraction) for c in b.terms.values()))
+    for f in (*polys, bracket):
+        for _ in range(32):
+            z = [rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)]
+            assert f.evaluate(z).hex() == _evaluate_reference(f, z).hex()

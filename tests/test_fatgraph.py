@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,87 @@ def test_vertices_faces_partition_darts(rnd):
     for orbits in (g.vertices(), g.faces()):
         flat = sorted(d for orbit in orbits for d in orbit)
         assert flat == list(range(12))
+
+
+# -- the label rule on graphs built from a checked sigma ---------------------------
+
+
+@pytest.mark.parametrize(
+    "label", [float("nan"), float("inf"), True, 10**400], ids=["nan", "inf", "bool", "huge_int"]
+)
+def test_with_labels_keeps_the_constructor_label_rule(label):
+    g = once_punctured_torus()
+    z = (0.5, label, 0)
+    with pytest.raises(FatGraphError) as built:
+        FatGraph(g.sigma, z)
+    with pytest.raises(FatGraphError) as relabelled:
+        g.with_labels(z)
+    assert str(relabelled.value) == str(built.value)
+    assert str(built.value).startswith("label z[1] = ")
+
+
+def test_with_labels_accepts_numpy_floats_and_checks_the_count():
+    np = pytest.importorskip("numpy")
+    g = tetrahedron().with_labels(np.linspace(-1.0, 1.0, 6))
+    assert g.z == tuple(np.linspace(-1.0, 1.0, 6)) and g.sigma == tetrahedron().sigma
+    with pytest.raises(FatGraphError, match="expected 3 labels, got 2"):
+        once_punctured_torus().with_labels((0.0, 1.0))
+
+
+def _orbits(sigma, step):
+    seen, out = set(), []
+    for d0 in range(len(sigma)):
+        if d0 not in seen:
+            orbit, d = [], d0
+            while d not in seen:
+                seen.add(d)
+                orbit.append(d)
+                d = step(d)
+            out.append(tuple(orbit))
+    return out
+
+
+def _random_sigma(rnd, n):
+    """Random 3-cycles over n darts: a trivalent sigma, not always connected."""
+    darts = list(range(n))
+    rnd.shuffle(darts)
+    sigma = [0] * n
+    for i in range(0, n, 3):
+        a, b, c = darts[i : i + 3]
+        sigma[a], sigma[b], sigma[c] = b, c, a
+    return sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_cached_orbits_match_a_fresh_walk(rnd):
+    n = 6 * rnd.randint(1, 4)
+    sigma = _random_sigma(rnd, n)
+    g = FatGraph(sigma, (0,) * (n // 2))
+    for _ in range(2):  # a miss, then a hit
+        assert g.vertices() == _orbits(sigma, lambda d: sigma[d])
+        assert g.faces() == _orbits(sigma, lambda d: sigma[opposite(d)])
+        for f in g.faces():
+            mult = [0] * g.n_edges
+            for d in f:
+                mult[edge_of(d)] += 1
+            assert g.face_multiplicity(f) == g.face_multiplicity(list(f)) == tuple(mult)
+    g.faces().clear()  # the lists handed out are copies
+    g.vertices().clear()
+    assert len(g.faces()) == len(_orbits(sigma, lambda d: sigma[opposite(d)])) and len(g.vertices()) == n // 3
+
+
+def test_face_multiplicity_of_any_dart_sequence():
+    g = tetrahedron()
+    assert g.face_multiplicity([0, 1, 3]) == (2, 1, 0, 0, 0, 0)
+
+
+def test_orbit_table_cache_is_bounded():
+    from shearlab import fatgraph
+
+    rnd = random.Random(3)
+    for _ in range(fatgraph._TABLE_SIZE + 40):
+        FatGraph(_random_sigma(rnd, 12), (0,) * 6).vertices()
+    assert len(fatgraph._TABLES) == fatgraph._TABLE_SIZE  # 296 distinct sigmas went in
+    g = tetrahedron()
+    assert g.faces() == _orbits(g.sigma, lambda d: g.sigma[opposite(d)])

@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from shearlab.fatgraph import FatGraphError, once_punctured_torus, tetrahedron
+from shearlab.fatgraph import FatGraph, FatGraphError, once_punctured_torus, tetrahedron
 from shearlab.flips import (
     check_commutation,
     check_involution,
@@ -229,3 +230,124 @@ def test_transport_roundtrip():
             there = transport_path(rec, word)
             home = transport_path(back, there)
             assert geodesic_function(g, word) == geodesic_function(back.after, home)
+
+
+# -- the cached flip plan against the uncached flip ------------------------------
+
+
+def _reference_flip(g, e):
+    """The flip as written before its plan was cached: (sigma, corners, rule, z)."""
+    if not 0 <= e < g.n_edges:
+        raise FatGraphError(f"edge {e} out of range")
+    a, b = 2 * e, 2 * e + 1
+    sigma = list(g.sigma)
+    if b in (sigma[a], sigma[sigma[a]]):
+        raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
+    p1, q1 = sigma[a], sigma[sigma[a]]
+    p2, q2 = sigma[b], sigma[sigma[b]]
+    new = list(sigma)
+    if min(p1, p2, q1, q2) in (p1, p2):
+        rule = "anti"
+        new[a], new[q1], new[p2] = q1, p2, a
+        new[b], new[q2], new[p1] = q2, p1, b
+    else:
+        rule = "clock"
+        new[a], new[q2], new[p1] = q2, p1, a
+        new[b], new[q1], new[p2] = q1, p2, b
+    ze = float(g.z[e])
+    z = [float(x) for x in g.z]
+    z[e] = -ze if ze != 0.0 else 0.0
+    for corner, delta in ((p1, phi(ze)), (p2, phi(ze)), (q1, -phi(-ze)), (q2, -phi(-ze))):
+        z[corner >> 1] += delta
+    return tuple(new), (p1, q2, p2, q1), rule, z
+
+
+def _typed_labels(rng, n, kind):
+    if kind == "int":
+        return [rng.randint(-3, 3) for _ in range(n)]
+    if kind == "fraction":
+        return [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+    return _labels(rng, n)
+
+
+def _flippable_edge(g, rng):
+    """A random edge that flips; each self-loop drawn first is refused with the reference's message."""
+    for e in rng.sample(range(g.n_edges), g.n_edges):
+        try:
+            _reference_flip(g, e)
+        except FatGraphError as ref:
+            with pytest.raises(FatGraphError) as exc:
+                flip(g, e)
+            assert str(exc.value) == str(ref)
+            continue
+        return e
+    raise AssertionError("no flippable edge")
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, tetrahedron], ids=["torus", "tetrahedron"])
+def test_flip_walk_matches_the_uncached_flip_bit_for_bit(make):
+    rng = random.Random(17)
+    g = make()
+    for step in range(150):
+        g = g.with_labels(_typed_labels(rng, g.n_edges, ("int", "float", "fraction")[step % 3]))
+        e = _flippable_edge(g, rng)
+        sigma, corners, rule, z = _reference_flip(g, e)
+        rec = flip(g, e)
+        assert (rec.after.sigma, rec.corners, rec.rule, rec.before) == (sigma, corners, rule, g)
+        assert [x.hex() for x in rec.after.z] == [x.hex() for x in z]
+        g = rec.after
+
+
+def test_self_loop_refusal_keeps_its_message():
+    loop = FatGraph([1, 2, 0, 4, 5, 3], (0, 0, 0))
+    for _ in range(2):  # the refusal is not cached away
+        with pytest.raises(FatGraphError, match=r"^edge 0 is a self-loop and cannot be flipped$"):
+            flip(loop, 0)
+    with pytest.raises(FatGraphError, match=r"^edge 3 out of range$"):
+        flip(loop, 3)
+
+
+def test_flip_overflow_still_hits_the_label_rule():
+    g = once_punctured_torus((1.7e308, 1.7e308, 0.0))
+    with pytest.raises(FatGraphError, match=r"^label z\[1\] = inf is not a finite number$"):
+        flip(g, 0)
+
+
+def _face_orbits(sigma):
+    seen, faces = set(), []
+    for d0 in range(len(sigma)):
+        if d0 not in seen:
+            face, d = [], d0
+            while d not in seen:
+                seen.add(d)
+                face.append(d)
+                d = sigma[d ^ 1]
+            faces.append(face)
+    return faces
+
+
+def _reference_perimeters(g):
+    """Perimeter values from the test's own face walk, summed in edge order."""
+    out = []
+    for face in _face_orbits(g.sigma):
+        mult = [0] * g.n_edges
+        for d in face:
+            mult[d >> 1] += 1
+        out.append(sum(m * z for m, z in zip(mult, g.z)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, tetrahedron], ids=["torus", "tetrahedron"])
+def test_perimeter_residual_matches_the_face_walk_bit_for_bit(make):
+    rng = random.Random(23)
+    g = make()
+    for step in range(60):
+        g = g.with_labels(_typed_labels(rng, g.n_edges, ("int", "float", "fraction")[step % 3]))
+        e = _flippable_edge(g, rng)
+        after = flip(g, e).after
+        before_vals, after_vals = _reference_perimeters(g), _reference_perimeters(after)
+        assert before_vals == sorted(g.face_perimeter(f)[1] for f in g.faces())
+        assert after_vals == sorted(after.face_perimeter(f)[1] for f in after.faces())
+        residual = max(abs(x - y) for x, y in zip(before_vals, after_vals))
+        assert check_perimeters(g, e)["residual"].hex() == float(residual).hex()
+        g = after

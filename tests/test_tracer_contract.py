@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import shearlab
-from shearlab import exppoly, geodesics, quantum
+from shearlab import exppoly, fatgraph, flips, geodesics, quantum
 from shearlab.fatgraph import once_punctured_torus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -91,3 +91,52 @@ def test_pair_products_form_only_the_traces(tracing):
         tracer.active = False
     finally:
         tracer.uninstall()
+
+
+def _flip_step(torus, labels):
+    """One flip_orbits-style step: flip, transport, and per label vector the checks and traces."""
+    record = flips.flip(torus, 0)
+    moved = flips.transport_path(record, geodesics.TORUS_A)
+    G = geodesics.geodesic_function(torus, geodesics.TORUS_A)
+    G2 = geodesics.geodesic_function(record.after, moved)
+    ok = True
+    for z in labels:
+        gz = torus.with_labels(z)
+        flipped = flips.flip(gz, 0).after
+        before, after = G.evaluate(z), G2.evaluate(flipped.z)
+        ok &= abs(after - before) <= 1e-9 * abs(before)
+        ok &= flips.check_involution(gz, 0)["equal"] and flips.check_perimeters(gz, 0)["equal"]
+    return ok
+
+
+def test_flip_step_counts_repeat_with_warm_caches(tracing):
+    orbits = fatgraph.FatGraph.__dict__["_orbits"]
+    torus = once_punctured_torus((0.3, -0.7, 1.1))
+    labels = [(0.1 * k, -0.2 * k, 0.5) for k in range(4)]
+    fatgraph._TABLES.clear()
+    flips._flip_plan.cache_clear()
+    assert _flip_step(torus, labels)  # untraced, to warm the caches
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        passes = []
+        for _ in range(2):
+            tracer.reset()
+            assert _flip_step(torus, labels)
+            passes.append(tracing.counts_only(tracer.snapshot()))
+        fatgraph._TABLES.clear()
+        tracer.reset()
+        assert _flip_step(torus, labels)
+        cold = tracer.snapshot()
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+
+    assert passes[0] == passes[1]
+    assert "fatgraph.orbits" not in passes[0]
+    assert passes[0]["flips.flip"]["calls"] == 1 + 4 * len(labels)  # step, trace, involution x2, perimeter
+    assert passes[0]["flips.check"]["calls"] == 2 * len(labels)
+    assert passes[0]["exppoly.evaluate"]["calls"] == 2 * len(labels)
+    assert cold["fatgraph.orbits"]["calls"] == 2  # a miss computes the torus's and the flipped sigma's table
+    assert fatgraph.FatGraph.__dict__["_orbits"] is orbits
