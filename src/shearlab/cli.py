@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import flips, geodesics, quantum
 from .exppoly import poisson_bracket
 from .fatgraph import FatGraph, FatGraphError, TopologyReport, once_punctured_torus, tetrahedron
-from .geodesics import PathError, exact_report
+from .geodesics import PathError, exact_report, float_report
 from .quantum import QuantumError
 
 DEFAULT_SEED = 20260825
@@ -60,8 +60,6 @@ def _suite_skein(seed: int, cases: int):
             q = geodesics.random_closed_path(g, rng, 2, 6, start=start)
             rep = geodesics.skein_check(g, p, q)
             rep.update({"graph": tag, "case": i, "p": list(p), "q": list(q)})
-            # the exact polynomials can be large; keep the reports compact
-            rep.pop("lhs"), rep.pop("rhs")
             reports.append(rep)
     return reports
 
@@ -98,7 +96,7 @@ def _suite_casimir(seed: int, cases: int):
     for _ in range(cases):
         labels = _seeded_labels(rng, 3)
         residual = abs(C.evaluate(labels) - C.evaluate(flips.flip(once_punctured_torus(labels), 0).after.z))
-        invariance.append({"residual": residual, "equal": residual <= 1e-10})
+        invariance.append(float_report("casimir_flip_invariance", residual, 1e-10))
     return reports + [_summary("casimir_flip_invariance", invariance)]
 
 

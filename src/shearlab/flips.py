@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .fatgraph import FatGraph, FatGraphError, edge_of, opposite
-from .geodesics import PathError, next_darts, validate_path
+from .geodesics import PathError, float_report, next_darts, validate_path
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
 
@@ -205,48 +205,34 @@ def _labels_close(g1: FatGraph, g2: FatGraph) -> float:
     return max(abs(float(x) - float(y)) for x, y in zip(g1.z, g2.z))
 
 
+def _shared_vertices(g: FatGraph, e1: int, e2: int) -> int:
+    """How many vertices of g touch both e1 and e2."""
+    darts1, darts2 = {2 * e1, 2 * e1 + 1}, {2 * e2, 2 * e2 + 1}
+    return sum(1 for v in g.vertices() if darts1.intersection(v) and darts2.intersection(v))
+
+
 def check_involution(g: FatGraph, e: int) -> dict:
     twice = flip(flip(g, e).after, e).after
     sigma_equal = twice.sigma == g.sigma
     residual = _labels_close(twice, g)
-    return {
-        "name": "involution",
-        "edge": e,
-        "sigma_equal": sigma_equal,
-        "residual": residual,
-        "equal": sigma_equal and residual <= _TOL,
-    }
+    return float_report("involution", residual, _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
 
 
 def check_commutation(g: FatGraph, e1: int, e2: int) -> dict:
-    darts1 = {2 * e1, 2 * e1 + 1}
-    verts = {frozenset(v) for v in g.vertices()}
-    shared = [v for v in verts if (v & darts1) and (v & {2 * e2, 2 * e2 + 1})]
-    if shared:
+    if _shared_vertices(g, e1, e2):
         raise FatGraphError(f"edges {e1} and {e2} share a vertex; commutation needs disjoint edges")
     ab = flip(flip(g, e1).after, e2).after
     ba = flip(flip(g, e2).after, e1).after
     sigma_equal = ab.sigma == ba.sigma
     residual = _labels_close(ab, ba)
-    return {
-        "name": "commutation",
-        "edges": [e1, e2],
-        "sigma_equal": sigma_equal,
-        "residual": residual,
-        "equal": sigma_equal and residual <= _TOL,
-    }
+    return float_report("commutation", residual, _TOL, sigma_equal, edges=[e1, e2], sigma_equal=sigma_equal)
 
 
 def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     """Five alternating flips return the graph up to transposing the two edges."""
-    verts = [frozenset(v) for v in g.vertices()]
-    common = [
-        v for v in verts if (v & {2 * e1, 2 * e1 + 1}) and (v & {2 * e2, 2 * e2 + 1})
-    ]
-    if len(common) != 1:
-        raise FatGraphError(
-            f"pentagon needs edges sharing exactly one vertex; {e1},{e2} share {len(common)}"
-        )
+    shared = _shared_vertices(g, e1, e2)
+    if shared != 1:
+        raise FatGraphError(f"pentagon needs edges sharing exactly one vertex; {e1},{e2} share {shared}")
     h = g
     for e in (e1, e2, e1, e2, e1):
         h = flip(h, e).after
@@ -256,12 +242,8 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     swapped_z = list(map(float, g.z))
     swapped_z[e1], swapped_z[e2] = swapped_z[e2], swapped_z[e1]
     residual = max(abs(a - float(b)) for a, b in zip(swapped_z, h.z))
-    return {
-        "name": "pentagon",
-        "edges": [e1, e2],
-        "residual": residual,
-        "equal": ok,
-    }
+    # equivalent() already bounds this same label gap by _TOL
+    return float_report("pentagon", residual, _TOL, ok, edges=[e1, e2])
 
 
 def _perimeters(g: FatGraph):
@@ -275,12 +257,7 @@ def check_perimeters(g: FatGraph, e: int) -> dict:
     before_vals = sorted(_perimeters(g))
     after_vals = sorted(_perimeters(after))
     residual = max(abs(x - y) for x, y in zip(before_vals, after_vals))
-    return {
-        "name": "perimeter",
-        "edge": e,
-        "residual": residual,
-        "equal": len(before_vals) == len(after_vals) and residual <= _TOL,
-    }
+    return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
 
 
 def torus_flip_map(labels):
@@ -313,10 +290,4 @@ def torus_modular_check(labels) -> dict:
     res_u = abs(u_new - 1.0 / u)
     res_v = abs(v_new - math.exp(lp / 2.0) / (v * (u + 1.0 / u)))
     residual = max(res_u, res_v, abs(u_new * u - 1.0))
-    return {
-        "name": "torus_modular",
-        "labels": [z0, z1, z2],
-        "after": list(new),
-        "residual": residual,
-        "equal": residual <= _TOL,
-    }
+    return float_report("torus_modular", residual, _TOL, labels=[z0, z1, z2], after=list(new))

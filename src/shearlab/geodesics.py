@@ -68,6 +68,9 @@ def graph_simple(path) -> bool:
 
 
 # -- 2x2 matrices over ExpPoly ------------------------------------------------
+# Nothing in src/ calls mat_mul, mat_inv, mat_det or mat_eq (pair_traces forms
+# its traces directly).  Keep them: the tests check pair_traces against them,
+# and the benchmark tracer wraps geodesics.mat_mul by name.
 
 
 def mat_mul(A, B):
@@ -162,12 +165,21 @@ def exact_report(name: str, lhs, rhs) -> dict:
     return {"name": name, "equal": equal, "residual": "exact" if equal else repr(lhs - rhs)}
 
 
+def float_report(name: str, residual, tol: float, ok: bool = True, **fields) -> dict:
+    """The verdict on a float identity: residual <= tol, and ok for its structural part.
+
+    Like an exact report it has "name", "equal" and "residual"; it also names its "tolerance".
+    """
+    residual = float(residual)
+    return {"name": name, **fields, "residual": residual, "tolerance": tol, "equal": ok and residual <= tol}
+
+
 def skein_check(g: FatGraph, p, q) -> dict:
     """Tr(P) Tr(Q) = Tr(PQ) + Tr(PQ^-1), exactly."""
     gp, gq, g_pq, g_pqi = pair_traces(g, p, q)
     lhs = gp * gq
     rhs = g_pq + g_pqi
-    return {**exact_report("skein", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
+    return exact_report("skein", lhs, rhs)
 
 
 def goldman_check(g: FatGraph, p, q) -> dict:
@@ -175,7 +187,7 @@ def goldman_check(g: FatGraph, p, q) -> dict:
     gp, gq, g_pq, g_pqi = pair_traces(g, p, q)
     lhs = poisson_bracket(gp, gq, g.omega_matrix())
     rhs = Fraction(1, 2) * g_pq - Fraction(1, 2) * g_pqi
-    return {**exact_report("goldman", lhs, rhs), "lhs": repr(lhs), "rhs": repr(rhs)}
+    return exact_report("goldman", lhs, rhs)
 
 
 # -- the once-punctured torus -------------------------------------------------
@@ -247,25 +259,11 @@ def rmatrix_local_check(z1: float, z4: float) -> dict:
     """
     lhs = -1.0 * np.kron(_dx_numeric(z1), _dx_numeric(z4))
     rhs = -0.25 * np.kron(_x_numeric(z1), _x_numeric(z4)) @ _SIGN_TENSOR
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return {
-        "name": "rmatrix_local",
-        "z": [z1, z4],
-        "edge_bracket": -1,
-        "residual": residual,
-        "equal": residual <= _RMATRIX_TOL,
-    }
+    return float_report("rmatrix_local", np.max(np.abs(lhs - rhs)), _RMATRIX_TOL, z=[z1, z4], edge_bracket=-1)
 
 
 def rmatrix_global_check(A: np.ndarray, B: np.ndarray) -> dict:
     """Tr1 Tr2[(A (x) B)(R - 1/2)] = Tr(AB) - (1/2) Tr A Tr B."""
     lhs = np.trace(np.kron(A, B) @ (_PERMUTATION_R - 0.5 * np.eye(4)))
     rhs = np.trace(A @ B) - 0.5 * np.trace(A) * np.trace(B)
-    residual = float(abs(lhs - rhs))
-    return {
-        "name": "rmatrix_global",
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "residual": residual,
-        "equal": residual <= _RMATRIX_TOL,
-    }
+    return float_report("rmatrix_global", abs(lhs - rhs), _RMATRIX_TOL, lhs=float(lhs), rhs=float(rhs))

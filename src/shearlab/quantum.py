@@ -24,7 +24,7 @@ import numpy as np
 
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from .fatgraph import FatGraph
-from .geodesics import geodesic_function, graph_simple, product_traces
+from .geodesics import float_report, geodesic_function, graph_simple, product_traces
 
 Q_HALF = LaurentPoly.rho_power(2)  # q^{1/2}
 Q_MINUS_HALF = LaurentPoly.rho_power(-2)  # q^{-1/2}
@@ -181,16 +181,15 @@ def quantum_centrality_check(g: FatGraph, A: QGeodesic) -> dict:
 @dataclass(frozen=True)
 class QDilogParams:
     hbar: float
-    detour: float | None = None  # height of the shifted contour above p = 0
     nodes: ClassVar[int] = 4096  # trapezoid intervals on [-40/decay, 40/decay]
 
 
 def phi_hbar(z: complex, params: QDilogParams) -> complex:
-    """Numerical Phi_hbar(z) on the contour Im p = detour.
+    """Numerical Phi_hbar(z) on the contour Im p = delta = min(1, 1/hbar) / 2.
 
     The printed contour (real axis with a bump above p = 0) deforms to the
-    straight line Im p = detour without crossing poles, since the integrand's
-    poles sit at p = i k and p = i k / hbar.
+    straight line Im p = delta without crossing poles, since the integrand's
+    poles sit at p = i k and p = i k / hbar; delta is halfway to the first.
     """
     h = float(params.hbar)
     z = complex(z)
@@ -203,9 +202,7 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     decay = math.pi * (1.0 + h) - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")
-    delta = params.detour if params.detour is not None else 0.5 * min(1.0, 1.0 / h)
-    if not 0 < delta < min(1.0, 1.0 / h):
-        raise QuantumError("contour height must sit between p = 0 and the first poles")
+    delta = 0.5 * min(1.0, 1.0 / h)
     p_max = 40.0 / decay
     t = np.linspace(-p_max, p_max, params.nodes + 1)
     p = t + 1j * delta
@@ -221,28 +218,18 @@ def qdilog_check(kind: str, z: complex, hbar: float) -> dict:
     z = complex(z)
     if kind == "difference":
         value = phi_hbar(z, params) - phi_hbar(-z, params)
-        residual = abs(value - z)
-        tol = 1e-8
+        want, tol = z, 1e-8
     elif kind == "semiclassical":
         value = phi_hbar(z, params)
-        residual = abs(value - cmath.log(1 + cmath.exp(z)))
-        tol = 5e-3
+        want, tol = cmath.log(1 + cmath.exp(z)), 5e-3
     elif kind == "quasi1":
         value = phi_hbar(z + 1j * math.pi * hbar, params) - phi_hbar(z - 1j * math.pi * hbar, params)
-        residual = abs(value - 2j * math.pi * hbar / (1 + cmath.exp(-z)))
-        tol = 1e-6
+        want, tol = 2j * math.pi * hbar / (1 + cmath.exp(-z)), 1e-6
     elif kind == "quasi2":
         value = phi_hbar(z + 1j * math.pi, params) - phi_hbar(z - 1j * math.pi, params)
-        residual = abs(value - 2j * math.pi / (1 + cmath.exp(-z / hbar)))
-        tol = 1e-6
+        want, tol = 2j * math.pi / (1 + cmath.exp(-z / hbar)), 1e-6
     else:
         raise QuantumError(f"unknown check {kind!r}")
-    return {
-        "name": f"qdilog_{kind}",
-        "z": [z.real, z.imag],
-        "hbar": hbar,
-        "value": [value.real, value.imag],
-        "residual": float(residual),
-        "tolerance": tol,
-        "equal": residual <= tol,
-    }
+    return float_report(
+        f"qdilog_{kind}", abs(value - want), tol, z=[z.real, z.imag], hbar=hbar, value=[value.real, value.imag]
+    )

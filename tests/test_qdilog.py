@@ -71,8 +71,6 @@ def test_strip_boundary_rejected():
     with pytest.raises(QuantumError):
         phi_hbar(0.0, QDilogParams(hbar=-1.0))
     with pytest.raises(QuantumError):
-        phi_hbar(0.0, QDilogParams(hbar=0.5, detour=3.0))
-    with pytest.raises(QuantumError):
         qdilog_check("nonsense", 0.0, 0.5)
 
 
