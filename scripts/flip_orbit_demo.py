@@ -32,7 +32,7 @@ def main() -> int:
     casimir = torus_casimir(once_punctured_torus()) if args.graph == "torus" else None
 
     def report(step, g, edge=None):
-        perims = sorted(g.face_perimeter(f)[1] for f in g.faces())
+        perims = sorted(value for _, value in g.perimeters())
         line = f"step {step:2d}" + (f" flip e{edge}" if edge is not None else " start  ")
         line += "  z = [" + ", ".join(f"{float(z):+.4f}" for z in g.z) + "]"
         line += "  perimeters = [" + ", ".join(f"{p:+.4f}" for p in perims) + "]"

@@ -234,14 +234,12 @@ def run(argv=None) -> int:
             if args.graph_command == "validate":
                 _emit({"status": "ok", "topology": report.to_json()})
             else:
-                faces = g.faces()
-                perimeters = [g.face_perimeter(f) for f in faces]
                 _emit(
                     {
-                        "faces": [list(f) for f in faces],
+                        "faces": [list(f) for f in g.faces()],
                         "graph": g.to_json(),
                         "omega": g.omega_matrix(),
-                        "perimeters": [{"multiplicity": list(m), "value": v} for m, v in perimeters],
+                        "perimeters": [{"multiplicity": list(m), "value": v} for m, v in g.perimeters()],
                         "topology": report.to_json(),
                     }
                 )
@@ -301,3 +299,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,10 +8,12 @@ faces are the orbits of ``d -> sigma(opposite(d))``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class FatGraphError(ValueError):
@@ -82,9 +84,13 @@ def _multiplicity(darts, n_edges):
     return tuple(mult)
 
 
-# sigma -> FatGraph._orbits(), least recently used first
-_TABLES: dict = {}
-_TABLE_SIZE = 256
+@functools.lru_cache(maxsize=256)
+def _table(sigma):
+    """``FatGraph._orbits(sigma)``, kept for the last 256 sigmas used; labels play no part.
+
+    A miss calls it through the class, where the benchmark's tracer wraps it.
+    """
+    return FatGraph._orbits(sigma)
 
 
 class FatGraph:
@@ -98,13 +104,6 @@ class FatGraph:
             if type(d) is not int:
                 raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
         self._fill(sigma, z)
-
-    @classmethod
-    def _on_checked_sigma(cls, sigma, z) -> "FatGraph":
-        """A graph on the sigma tuple of an already-built graph: only the labels are checked."""
-        g = object.__new__(cls)
-        g._fill(sigma, tuple(z))
-        return g
 
     def _fill(self, sigma, z):
         """Apply the label rule and the count checks, then set both (tuple) fields."""
@@ -133,7 +132,10 @@ class FatGraph:
         return len(self.sigma) // 2
 
     def with_labels(self, z) -> "FatGraph":
-        return FatGraph._on_checked_sigma(self.sigma, z)
+        """This graph's sigma with the labels ``z``: only the labels are checked."""
+        g = object.__new__(FatGraph)
+        g._fill(self.sigma, tuple(z))
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, FatGraph):
@@ -143,33 +145,20 @@ class FatGraph:
     def __repr__(self):
         return f"FatGraph(sigma={list(self.sigma)}, z={list(self.z)})"
 
-    def _orbits(self):
-        """(vertex orbits, {face orbit: edge multiplicity vector}) of this sigma."""
-        sigma = self.sigma
+    @staticmethod
+    def _orbits(sigma):
+        """(vertex orbits, {face orbit: edge multiplicity vector}) of ``sigma``."""
         vertices = _walk(sigma)
         faces = _walk([sigma[opposite(d)] for d in range(len(sigma))])
-        return vertices, {face: _multiplicity(face, self.n_edges) for face in faces}
-
-    def _table(self):
-        """The combinatorics of this sigma, computed by ``_orbits`` once per sigma.
-
-        The last ``_TABLE_SIZE`` sigmas used are kept; labels play no part.
-        """
-        table = _TABLES.pop(self.sigma, None)
-        if table is None:
-            table = self._orbits()
-            if len(_TABLES) >= _TABLE_SIZE:
-                del _TABLES[next(iter(_TABLES))]  # the least recently used
-        _TABLES[self.sigma] = table
-        return table
+        return vertices, {face: _multiplicity(face, len(sigma) // 2) for face in faces}
 
     def vertices(self):
         """Sigma-orbits, each listed anticlockwise from its smallest dart."""
-        return list(self._table()[0])
+        return list(_table(self.sigma)[0])
 
     def faces(self):
         """Orbits of d -> sigma(opposite(d)), each from its smallest dart."""
-        return list(self._table()[1])
+        return list(_table(self.sigma)[1])
 
     # -- validation --------------------------------------------------------
 
@@ -210,14 +199,17 @@ class FatGraph:
 
     def face_multiplicity(self, face) -> tuple:
         """How many times each edge appears on the face boundary."""
-        mult = self._table()[1].get(tuple(face))
+        mult = _table(self.sigma)[1].get(tuple(face))
         return mult if mult is not None else _multiplicity(face, self.n_edges)
 
     def face_perimeter(self, face):
         """Multiplicity-weighted label sum, as (exponent vector, numeric value)."""
         mult = self.face_multiplicity(face)
-        value = sum(m * z for m, z in zip(mult, self.z))
-        return mult, value
+        return mult, sum(map(mul, mult, self.z))
+
+    def perimeters(self):
+        """``face_perimeter`` of every face, in ``faces()`` order."""
+        return [(mult, sum(map(mul, mult, self.z))) for mult in _table(self.sigma)[1].values()]
 
     # -- Poisson data ------------------------------------------------------
 
@@ -259,7 +251,11 @@ class FatGraph:
     @classmethod
     def load(cls, path) -> "FatGraph":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise FatGraphError("graph JSON is nested too deeply") from None
+        return cls.from_json(data)
 
 
 def once_punctured_torus(labels=(0, 0, 0)) -> FatGraph:

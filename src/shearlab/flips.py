@@ -33,9 +33,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 
-from .fatgraph import FatGraph, FatGraphError, edge_of, opposite
+from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite
 from .geodesics import PathError, float_report, next_darts, validate_path
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
@@ -70,7 +69,8 @@ class FlipRecord:
 def _flip_plan(sigma, e):
     """The label-free part of flipping ``e``, or None for a self-loop.
 
-    Returns (new sigma, corners (P1, Q2, P2, Q1), rule, edges of P1, P2, Q1, Q2).
+    Returns (the re-glued graph with zero labels, corners (P1, Q2, P2, Q1),
+    rule, edges of P1, P2, Q1, Q2).
     """
     a, b = 2 * e, 2 * e + 1
     if b in (sigma[a], sigma[sigma[a]]):
@@ -89,7 +89,8 @@ def _flip_plan(sigma, e):
         # new vertex cycles (a, Q2, P1) and (b, Q1, P2)
         new[a], new[q2], new[p1] = q2, p1, a
         new[b], new[q1], new[p2] = q1, p2, b
-    return tuple(new), (p1, q2, p2, q1), rule, tuple(edge_of(d) for d in (p1, p2, q1, q2))
+    shape = FatGraph(new, [0] * (len(new) // 2))
+    return shape, (p1, q2, p2, q1), rule, tuple(edge_of(d) for d in (p1, p2, q1, q2))
 
 
 def flip(g: FatGraph, e: int) -> FlipRecord:
@@ -105,7 +106,7 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
     plan = _flip_plan(g.sigma, e)
     if plan is None:
         raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
-    sigma, corners, rule, (ep1, ep2, eq1, eq2) = plan
+    shape, corners, rule, (ep1, ep2, eq1, eq2) = plan
 
     ze = float(g.z[e])
     z = [float(x) for x in g.z]
@@ -115,7 +116,7 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
     z[ep2] += up
     z[eq1] += down
     z[eq2] += down
-    return FlipRecord(e, corners, g, FatGraph._on_checked_sigma(sigma, z), rule)
+    return FlipRecord(e, corners, g, shape.with_labels(z), rule)
 
 
 def transport_path(record: FlipRecord, path):
@@ -139,13 +140,11 @@ def transport_path(record: FlipRecord, path):
         y = kept[(i + 1) % n]
         if y in next_darts(after, x):
             continue
-        inserted = False
         for w in (2 * e, 2 * e + 1):
             if w in next_darts(after, x) and y in next_darts(after, w):
                 out.append(w)
-                inserted = True
                 break
-        if not inserted:
+        else:
             raise PathError(f"cannot transport step {x} -> {y} across the flip")
     # rotate so the word starts at its smallest dart (canonical cyclic form)
     k = out.index(min(out))
@@ -167,9 +166,8 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
     n = g1.n_darts
     if edge_map is None:
         edge_map = list(range(g1.n_edges))
-    for i in range(g1.n_edges):
-        if abs(float(g1.z[i]) - float(g2.z[edge_map[i]])) > _TOL:
-            return None
+    if _label_gap(g1, g2, edge_map) > _TOL:
+        return None
     for seed in (2 * edge_map[0], 2 * edge_map[0] + 1):
         psi = [-1] * n
         psi[0] = seed
@@ -201,8 +199,17 @@ def equivalent(g1: FatGraph, g2: FatGraph, edge_map=None) -> bool:
 # -- flip relations -----------------------------------------------------------
 
 
-def _labels_close(g1: FatGraph, g2: FatGraph) -> float:
-    return max(abs(float(x) - float(y)) for x, y in zip(g1.z, g2.z))
+def _label_gap(g1: FatGraph, g2: FatGraph, edge_map=None) -> float:
+    """The largest ``|g1.z[i] - g2.z[edge_map[i]]|``; the identity map when ``edge_map`` is None."""
+    z2 = g2.z if edge_map is None else [g2.z[j] for j in edge_map]
+    return max([abs(float(x) - float(y)) for x, y in zip(g1.z, z2)])
+
+
+def _flip_word(g: FatGraph, edges) -> FatGraph:
+    """The graph after flipping ``edges`` of ``g`` in order."""
+    for e in edges:
+        g = flip(g, e).after
+    return g
 
 
 def _shared_vertices(g: FatGraph, e1: int, e2: int) -> int:
@@ -212,20 +219,17 @@ def _shared_vertices(g: FatGraph, e1: int, e2: int) -> int:
 
 
 def check_involution(g: FatGraph, e: int) -> dict:
-    twice = flip(flip(g, e).after, e).after
+    twice = _flip_word(g, (e, e))
     sigma_equal = twice.sigma == g.sigma
-    residual = _labels_close(twice, g)
-    return float_report("involution", residual, _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
+    return float_report("involution", _label_gap(twice, g), _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
 
 
 def check_commutation(g: FatGraph, e1: int, e2: int) -> dict:
     if _shared_vertices(g, e1, e2):
         raise FatGraphError(f"edges {e1} and {e2} share a vertex; commutation needs disjoint edges")
-    ab = flip(flip(g, e1).after, e2).after
-    ba = flip(flip(g, e2).after, e1).after
+    ab, ba = _flip_word(g, (e1, e2)), _flip_word(g, (e2, e1))
     sigma_equal = ab.sigma == ba.sigma
-    residual = _labels_close(ab, ba)
-    return float_report("commutation", residual, _TOL, sigma_equal, edges=[e1, e2], sigma_equal=sigma_equal)
+    return float_report("commutation", _label_gap(ab, ba), _TOL, sigma_equal, edges=[e1, e2], sigma_equal=sigma_equal)
 
 
 def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
@@ -233,29 +237,18 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     shared = _shared_vertices(g, e1, e2)
     if shared != 1:
         raise FatGraphError(f"pentagon needs edges sharing exactly one vertex; {e1},{e2} share {shared}")
-    h = g
-    for e in (e1, e2, e1, e2, e1):
-        h = flip(h, e).after
+    h = _flip_word(g, (e1, e2, e1, e2, e1))
     edge_map = list(range(g.n_edges))
     edge_map[e1], edge_map[e2] = e2, e1
-    ok = equivalent(g, h, edge_map=edge_map)
-    swapped_z = list(map(float, g.z))
-    swapped_z[e1], swapped_z[e2] = swapped_z[e2], swapped_z[e1]
-    residual = max(abs(a - float(b)) for a, b in zip(swapped_z, h.z))
-    # equivalent() already bounds this same label gap by _TOL
-    return float_report("pentagon", residual, _TOL, ok, edges=[e1, e2])
-
-
-def _perimeters(g: FatGraph):
-    """Each face's perimeter value, summed as ``FatGraph.face_perimeter`` sums it."""
-    return [sum(map(mul, mult, g.z)) for mult in g._table()[1].values()]
+    ok = equivalent(g, h, edge_map)  # which already bounds this same label gap by _TOL
+    return float_report("pentagon", _label_gap(h, g, edge_map), _TOL, ok, edges=[e1, e2])
 
 
 def check_perimeters(g: FatGraph, e: int) -> dict:
     """Every face perimeter is invariant under the flip of e."""
     after = flip(g, e).after
-    before_vals = sorted(_perimeters(g))
-    after_vals = sorted(_perimeters(after))
+    before_vals = sorted([v for _, v in g.perimeters()])
+    after_vals = sorted([v for _, v in after.perimeters()])
     residual = max(abs(x - y) for x, y in zip(before_vals, after_vals))
     return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
 
@@ -268,10 +261,7 @@ def torus_flip_map(labels):
 
         z0 -> -z0,  z1 -> z2 - 2 phi(-z0),  z2 -> z1 + 2 phi(z0).
     """
-    from .fatgraph import once_punctured_torus
-
-    g = once_punctured_torus(labels)
-    after = flip(g, 0).after
+    after = flip(once_punctured_torus(labels), 0).after
     # anticlockwise edge cycle at the after-vertex of dart 0 is (e0, e2, e1)
     return tuple(float(after.z[edge_of(d)]) for d in after.vertices()[0])
 

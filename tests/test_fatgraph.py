@@ -244,8 +244,8 @@ def test_orbit_table_cache_is_bounded():
     from shearlab import fatgraph
 
     rnd = random.Random(3)
-    for _ in range(fatgraph._TABLE_SIZE + 40):
+    for _ in range(fatgraph._table.cache_info().maxsize + 40):
         FatGraph(_random_sigma(rnd, 12), (0,) * 6).vertices()
-    assert len(fatgraph._TABLES) == fatgraph._TABLE_SIZE  # 296 distinct sigmas went in
+    assert fatgraph._table.cache_info().currsize == fatgraph._table.cache_info().maxsize  # 296 distinct sigmas went in
     g = tetrahedron()
     assert g.faces() == _orbits(g.sigma, lambda d: g.sigma[opposite(d)])

@@ -113,7 +113,7 @@ def test_flip_step_counts_repeat_with_warm_caches(tracing):
     orbits = fatgraph.FatGraph.__dict__["_orbits"]
     torus = once_punctured_torus((0.3, -0.7, 1.1))
     labels = [(0.1 * k, -0.2 * k, 0.5) for k in range(4)]
-    fatgraph._TABLES.clear()
+    fatgraph._table.cache_clear()
     flips._flip_plan.cache_clear()
     assert _flip_step(torus, labels)  # untraced, to warm the caches
     tracer = tracing.Tracer()
@@ -125,7 +125,7 @@ def test_flip_step_counts_repeat_with_warm_caches(tracing):
             tracer.reset()
             assert _flip_step(torus, labels)
             passes.append(tracing.counts_only(tracer.snapshot()))
-        fatgraph._TABLES.clear()
+        fatgraph._table.cache_clear()
         tracer.reset()
         assert _flip_step(torus, labels)
         cold = tracer.snapshot()
