@@ -177,12 +177,6 @@ class ExpPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_coefficient(self) -> int | Fraction:
-        """Coefficient (``int | Fraction``) of the lexicographically largest exponent."""
-        if not self.terms:
-            return 0
-        return self.terms[max(self.terms)]
-
     def coefficient(self, m: Iterable[int]) -> int | Fraction:
         """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent."""
         return self.terms.get(tuple(m), 0)
@@ -421,12 +415,9 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     """(1/(2 pi i)) d/dhbar of [f o g - g o f] at hbar = 0, exactly.
 
     Requires rho-free inputs; the result equals the Poisson bracket of the
-    rho = 1 specializations.  Each rho^r contributes -r/8.
+    rho = 1 specializations.
     """
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
     comm = qmul(f, g, omega) - qmul(g, f, omega)
-    sums = {}
-    for k, c in comm.flat.terms.items():
-        sums[k[:-1]] = sums.get(k[:-1], 0) - k[-1] * c
-    return ExpPoly(f.dim, {m: Fraction(s, 8) for m, s in sums.items()})
+    return ExpPoly(f.dim, {m: c.classical_derivative() for m, c in comm.terms.items()})

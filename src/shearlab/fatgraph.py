@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -49,6 +50,19 @@ def edge_of(d: int) -> int:
     return d >> 1
 
 
+class _ShortRepr(reprlib.Repr):
+    """The repr of a bad input entry in an error message: a few dozen characters, never raising."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past Python's int-to-str digit limit
+            return f"<int of {x.bit_length()} bits>"
+
+
+short_repr = _ShortRepr().repr
+
+
 def _check_labels(z):
     """The label rule: every label is a finite int, float or Fraction, and no bool."""
     for i, x in enumerate(z):
@@ -57,7 +71,7 @@ def _check_labels(z):
         except OverflowError:  # an int or Fraction beyond the float range
             finite = False
         if not finite:
-            raise FatGraphError(f"label z[{i}] = {x!r} is not a finite number")
+            raise FatGraphError(f"label z[{i}] = {short_repr(x)} is not a finite number")
 
 
 def _walk(step):
@@ -102,7 +116,7 @@ class FatGraph:
         sigma, z = tuple(sigma), tuple(z)
         for i, d in enumerate(sigma):
             if type(d) is not int:
-                raise FatGraphError(f"sigma[{i}] = {d!r} is not an integer dart index")
+                raise FatGraphError(f"sigma[{i}] = {short_repr(d)} is not an integer dart index")
         self._fill(sigma, z)
 
     def _fill(self, sigma, z):
@@ -168,7 +182,7 @@ class FatGraph:
         hit = [0] * n
         for d, s in enumerate(sigma):
             if not 0 <= s < n:
-                raise FatGraphError(f"sigma[{d}] = {s} is not a dart index")
+                raise FatGraphError(f"sigma[{d}] = {short_repr(s)} is not a dart index")
             hit[s] += 1
         for d, h in enumerate(hit):
             if h != 1:

@@ -8,7 +8,7 @@ The word compiles to the product T_n X_{z_n} ... T_1 X_{z_1} with
     L = [[0, 1], [-1, -1]],  R = [[1, 1], [-1, 0]],
     X_z = [[0, -e^{z/2}], [e^{-z/2}, 0]],
 
-and the geodesic function is the (sign-normalized) trace.
+and the geodesic function is the trace.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exppoly import ExpPoly, poisson_bracket
-from .fatgraph import FatGraph, edge_of, opposite
+from .fatgraph import FatGraph, edge_of, opposite, short_repr
 
 
 class PathError(ValueError):
@@ -38,9 +38,9 @@ def validate_path(g: FatGraph, path) -> tuple:
     n = g.n_darts
     for d in path:
         if type(d) is not int:
-            raise PathError(f"dart {d!r} is not an integer dart index")
+            raise PathError(f"dart {short_repr(d)} is not an integer dart index")
         if not 0 <= d < n:
-            raise PathError(f"dart {d} out of range")
+            raise PathError(f"dart {short_repr(d)} out of range")
     for k, d in enumerate(path):
         nxt = path[(k + 1) % len(path)]
         if nxt == opposite(d):
@@ -90,10 +90,6 @@ def mat_inv(A):
     return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
 
 
-def mat_neg(A):
-    return tuple(tuple(-x for x in row) for row in A)
-
-
 def mat_eq(A, B) -> bool:
     return all(A[i][j] == B[i][j] for i in range(2) for j in range(2))
 
@@ -104,6 +100,10 @@ def path_matrix(g: FatGraph, path):
     With h = e^{z_e/2}, L X_e = [[1/h, 0], [-1/h, h]] and R X_e = [[1/h, -h], [0, h]]:
     each step shifts the top row by -1 and the bottom row by +1 in coordinate e,
     then subtracts one shifted row from the other.
+
+    Both steps have the sign pattern [[+, -], [-, +]] (non-negative after conjugation
+    by diag(1, -1)), so every product keeps it with no cancellation: the trace has
+    positive integer coefficients (Fock) and needs no PSL sign fix.
     """
     path = validate_path(g, path)
     one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
@@ -120,20 +120,12 @@ def path_matrix(g: FatGraph, path):
     return top, bottom
 
 
-def normalized_path_matrix(g: FatGraph, path):
-    """Path matrix with the PSL sign fixed so the trace has positive leading coefficient."""
-    M = path_matrix(g, path)
-    if mat_trace(M).leading_coefficient() < 0:
-        M = mat_neg(M)
-    return M
-
-
 def geodesic_function(g: FatGraph, path) -> ExpPoly:
-    return mat_trace(normalized_path_matrix(g, path))
+    return mat_trace(path_matrix(g, path))
 
 
 def pair_traces(g: FatGraph, p, q) -> tuple:
-    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the sign-normalized matrices; each word compiles once.
+    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the path matrices P, Q; each word compiles once.
 
     Only the two product traces are formed, in 6 ring products rather than the
     16 of two full matrix products.  With X = P01 Q10 + P10 Q01,
@@ -145,14 +137,14 @@ def pair_traces(g: FatGraph, p, q) -> tuple:
     is not taken as Tr P Tr Q - Tr PQ: that is the skein relation itself, which
     skein_check would then confirm by construction.
     """
-    (p00, p01), (p10, p11) = normalized_path_matrix(g, p)
-    (q00, q01), (q10, q11) = normalized_path_matrix(g, q)
+    (p00, p01), (p10, p11) = path_matrix(g, p)
+    (q00, q01), (q10, q11) = path_matrix(g, q)
     x = p01 * q10 + p10 * q01
     return p00 + p11, q00 + q11, p00 * q00 + p11 * q11 + x, p00 * q11 + p11 * q00 - x
 
 
 def product_traces(g: FatGraph, p, q):
-    """(Tr(PQ), Tr(PQ^-1)) for the sign-normalized matrices of the two words."""
+    """(Tr(PQ), Tr(PQ^-1)) for the path matrices of the two words."""
     return pair_traces(g, p, q)[2:]
 
 

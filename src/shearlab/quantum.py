@@ -68,8 +68,6 @@ def qskein_decompose(g: FatGraph, A: QGeodesic, B: QGeodesic) -> tuple:
 
     star_ok = g_ab_quantum.star() == g_ab_quantum
     classical_ok = g_ab_quantum.at_rho_one() == tr_pq
-    if not star_ok:
-        raise QuantumError("non-star-fixed remainder: skein convention failure")
     corrections = {}
     for m, c in g_ab_quantum.terms.items():
         classical_c = tr_pq.coefficient(m)
@@ -101,16 +99,10 @@ def qcommutator_check(g: FatGraph, A: QGeodesic, B: QGeodesic) -> dict:
     ba = qmul(B.operator, A.operator, omega)
     qcomm = ab.scale(Q_HALF) - ba.scale(Q_MINUS_HALF)
 
-    weyl_abinv = QExpPoly.from_classical(product_traces(g, A.path, B.path)[1])
-
-    c_rho = None
-    weyl_terms = weyl_abinv.terms
-    proportional = bool(weyl_terms)
-    if proportional:
-        m0 = min(weyl_terms)
-        w0 = weyl_terms[m0].at_one()  # rho-free by construction
-        c_rho = qcomm.coefficient(m0) * (Fraction(1) / w0)
-        proportional = qcomm == weyl_abinv.scale(c_rho)
+    tr_pqi = product_traces(g, A.path, B.path)[1]
+    m0 = min(tr_pqi.terms)
+    c_rho = qcomm.coefficient(m0) * Fraction(1, tr_pqi.terms[m0])
+    proportional = qcomm == QExpPoly.from_classical(tr_pqi).scale(c_rho)
     q_minus_qinv = LaurentPoly({4: 1, -4: -1})
     qhalf_minus = LaurentPoly({2: 1, -2: -1})
 
@@ -120,9 +112,9 @@ def qcommutator_check(g: FatGraph, A: QGeodesic, B: QGeodesic) -> dict:
     return {
         "name": "qcommutator",
         "proportional": proportional,
-        "c_rho": repr(c_rho) if c_rho is not None else None,
-        "c_equals_q_minus_qinv": c_rho == q_minus_qinv if c_rho is not None else False,
-        "c_equals_qhalf_minus_qminushalf": c_rho == qhalf_minus if c_rho is not None else False,
+        "c_rho": repr(c_rho),
+        "c_equals_q_minus_qinv": c_rho == q_minus_qinv,
+        "c_equals_qhalf_minus_qminushalf": c_rho == qhalf_minus,
         "classical_limit_exact": limit == bracket,
         "equal": proportional and limit == bracket,
     }
@@ -206,10 +198,13 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     p_max = 40.0 / decay
     t = np.linspace(-p_max, p_max, params.nodes + 1)
     p = t + 1j * delta
-    integrand = np.exp(-1j * p * z) / (np.sinh(math.pi * p) * np.sinh(math.pi * p * h))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    integral = trapezoid(integrand, t)
-    return complex(-(math.pi * h / 2.0) * integral)
+    with np.errstate(all="ignore"):
+        integrand = np.exp(-1j * p * z) / (np.sinh(math.pi * p) * np.sinh(math.pi * p * h))
+        value = complex(-(math.pi * h / 2.0) * trapezoid(integrand, t))
+    if not cmath.isfinite(value):
+        raise QuantumError(f"phi_hbar overflowed at z = {z}, hbar = {h}: |Im z| is {decay:.3g} inside the strip edge")
+    return value
 
 
 def qdilog_check(kind: str, z: complex, hbar: float) -> dict:

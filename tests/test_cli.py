@@ -287,3 +287,34 @@ def test_qdilog_rejects_non_finite_input(capsys, argv, named):
     assert code == 2 and out == ""
     assert named in err and "not a finite number" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_failed_quantum_skein_is_reported_not_raised(capsys, monkeypatch):
+    from shearlab import quantum
+
+    exact = quantum.product_traces
+
+    def off_by_one(g, p, q):
+        tr_pq, tr_pqi = exact(g, p, q)
+        return tr_pq, tr_pqi + 1
+
+    monkeypatch.setattr(quantum, "product_traces", off_by_one)
+    code, out, err = _run(capsys, "check", "qskein")
+    assert code == 1 and "check(s) failed" in err
+    skein = next(r for r in json.loads(out)["reports"] if r["name"] == "qskein")
+    assert skein["star_fixed"] is False and skein["equal"] is False
+
+
+def test_qdilog_overflow_exits_two_with_one_named_error(capsys):
+    code, out, err = _run(capsys, "qdilog", "--z", "0", "--hbar", "0.05", "--check", "quasi2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: phi_hbar overflowed at z = ")
+    assert "hbar = 0.05" in err and "inside the strip edge" in err
+
+
+def test_graph_validate_keeps_a_deeply_nested_label_error_short(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"sigma": [2, 3, 4, 5, 0, 1], "z": [%s, 0, 0]}' % ("[" * 900 + "]" * 900))
+    code, out, err = _run(capsys, "graph", "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: label z[0] = [[[") and len(err) < 120

@@ -249,3 +249,18 @@ def test_orbit_table_cache_is_bounded():
     assert fatgraph._table.cache_info().currsize == fatgraph._table.cache_info().maxsize  # 296 distinct sigmas went in
     g = tetrahedron()
     assert g.faces() == _orbits(g.sigma, lambda d: g.sigma[opposite(d)])
+
+
+@pytest.mark.parametrize(
+    "build, entry",
+    [
+        (lambda: once_punctured_torus((10**5000, 0, 0)), "label z[0] = <int of 16610 bits>"),
+        (lambda: FatGraph([2, 3, 4, 5, 0, 10**5000], [0] * 3).validate(), "sigma[5] = <int of 16610 bits>"),
+        (lambda: FatGraph([2, 3, 4, 5, 0, "9" * 5000], [0] * 3), "sigma[5] = '999"),
+    ],
+    ids=["huge_label", "huge_dart", "long_str_dart"],
+)
+def test_bad_entry_errors_stay_short(build, entry):
+    with pytest.raises(FatGraphError) as exc:
+        build()
+    assert entry in str(exc.value) and len(str(exc.value)) < 120

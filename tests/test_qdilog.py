@@ -93,3 +93,9 @@ def test_check_report_shape():
 def test_non_finite_input_rejected(z, hbar, named):
     with pytest.raises(QuantumError, match=named):
         phi_hbar(z, QDilogParams(hbar=hbar))
+
+
+def test_overflow_raises_a_named_error_without_warnings():
+    # quasi2 at z = 0 evaluates phi_hbar at i pi, 0.157 inside the strip edge for hbar = 0.05
+    with pytest.raises(QuantumError, match=r"hbar = 0\.05: \|Im z\| is 0\.157 inside the strip edge"):
+        phi_hbar(1j * math.pi, QDilogParams(hbar=0.05))

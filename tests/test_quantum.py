@@ -76,9 +76,9 @@ def test_empty_loop():
     # the defect is (q + q^{-1} - 2) on the two crossing monomials
     aa = qmul(A.operator, A.operator, OMEGA)
     corr = LaurentPoly({4: 1, 0: -2, -4: 1})
-    from shearlab.geodesics import mat_mul, mat_trace, normalized_path_matrix
+    from shearlab.geodesics import mat_mul, mat_trace, path_matrix
 
-    P = normalized_path_matrix(TORUS, TORUS_A)
+    P = path_matrix(TORUS, TORUS_A)
     candidate = QExpPoly.from_classical(mat_trace(mat_mul(P, P)))
     defect = aa - candidate
     expect = QExpPoly(3, {(0, 0, 0): LaurentPoly.const(2), (2, 0, 0): corr, (0, 0, -2): corr})

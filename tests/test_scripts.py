@@ -41,3 +41,16 @@ def test_scripts_use_only_public_names():
                 continue
             if names[0] == "shearlab":
                 assert not any(n.startswith("_") for n in names), f"{path.name} imports a private shearlab name"
+
+
+def test_qdilog_scan_reports_an_overflowing_row_as_a_failure():
+    proc = _run_script("qdilog_scan.py", "--steps", "3", "--hbar", "0.05")
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[1].split()[-1] == "inf" and lines[-1] == "FAIL"
+
+
+def test_qdilog_scan_rejects_fewer_than_two_steps():
+    for steps in ("1", "0"):
+        proc = _run_script("qdilog_scan.py", "--steps", steps)
+        assert proc.returncode == 2 and "--steps must be at least 2" in proc.stderr
