@@ -6,24 +6,57 @@ ints; a ``Fraction`` appears only where the bracket's 1/4 or a scalar such as
 Goldman's 1/2 leaves a denominator.  ``LaurentPoly`` is its one-variable case,
 a Laurent polynomial in the formal unit ``rho`` (``rho**4 = q``).  A quantum
 element ``QExpPoly`` is one ``ExpPoly`` with rho as its last exponent: the
-term ``c rho^r e^{m.Z/2}`` is stored under the key ``m + (r,)``.  The Poisson
-bracket and the noncommutative product ``qmul``, the flat product twisted in
-the rho exponent, are both induced by an antisymmetric integer matrix ``omega``:
+term ``c rho^r e^{m.Z/2}`` is stored under the exponent vector ``m + (r,)``.
+The Poisson bracket and the noncommutative product ``qmul``, the flat product
+twisted in the rho exponent, are both induced by an antisymmetric integer
+matrix ``omega``:
 
     {e^{m.z/2}, e^{n.z/2}} = (1/4) (m^T omega n) e^{(m+n).z/2}
     e^{m.Z/2} o e^{n.Z/2}  = rho^{-(m^T omega n)} e^{(m+n).Z/2}
 
 Keeping exponents in half-units makes every identity exact over Q and
 Z[rho, rho^-1].
+
+Packed keys.  Terms are stored as ``{key: coefficient}`` with one int per
+exponent vector (Monagan and Pearce's packed exponent vectors):
+
+    key(m) = sum_i m_i * 2**(FIELD_BITS * i)
+
+Each field below the top one is balanced, ``|m_i| < EXPONENT_LIMIT =
+2**(FIELD_BITS - 1)``, so the packing is one-to-one and linear:
+``key(m + n) = key(m) + key(n)``.  A product costs one int add per term pair
+and ``shift`` one per term.  The top field has no field above it to carry
+into, so it is unbounded.  That is where ``QExpPoly`` keeps rho: ``qmul``,
+``star`` and ``at_rho_one`` adjust it by adding a multiple of
+``2**(FIELD_BITS * dim)``.  A ``LaurentPoly`` key is its rho exponent itself.
+
+The guard.  Every element carries a bound on ``|m_i|`` over its lower
+fields: the maximum at construction, the sum of both bounds for a product,
+``+ |s|`` for a shift, the larger bound for a sum.  An operation whose bound
+would reach ``EXPONENT_LIMIT`` raises ``ExponentOverflow`` before it builds a
+key, so a carry can never alias two exponent vectors.  The bound is
+conservative: cancellation never lowers it.  Rho, in the top field, needs no
+bound, so ``qmul`` guards only the flat product's exponents and not the twist
+``m^T omega n``.  ``coefficient`` of a vector outside the fields is 0.
+
+``.terms`` is a read-only view keyed by exponent tuples.  It decodes the keys
+on first use and keeps them, so ``evaluate`` and repeated reads decode once;
+``len(f.terms)`` never decodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
+
+FIELD_BITS = 16  # each lower field decodes as a little-endian int16 ("h") in _unpacker
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 def _as_coefficient(c) -> int | Fraction:
@@ -50,25 +83,124 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class ExponentOverflow(OverflowError):
+    """An exponent would leave its packed field and carry into the next one."""
+
+
+def _guard(bound: int) -> int:
+    if bound >= EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            f"an exponent bound of {bound} reaches the {FIELD_BITS}-bit field limit {EXPONENT_LIMIT}"
+        )
+    return bound
+
+
+def _pack(m: tuple) -> int:
+    key = 0
+    for x in reversed(m):
+        key = (key << FIELD_BITS) + x
+    return key
+
+
+@functools.lru_cache(maxsize=None)
+def _unpacker(dim: int):
+    """The decoder from a packed key to its exponent tuple, for ``dim`` fields.
+
+    Adding ``EXPONENT_LIMIT`` to each lower field makes it non-negative with
+    no borrow, so the top field is what lies above them; flipping each lower
+    field's sign bit then leaves the int16 bytes of the field itself.
+    """
+    if not dim:
+        return lambda key: ()
+    bits = FIELD_BITS * (dim - 1)
+    offset = sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(dim - 1))
+    low = (1 << bits) - 1
+    fields = struct.Struct(f"<{dim - 1}h")
+    size, read = fields.size, fields.unpack
+
+    def unpack(key: int) -> tuple:
+        x = key + offset
+        return read(((x ^ offset) & low).to_bytes(size, "little")) + (x >> bits,)
+
+    return unpack
+
+
+def _top_field(lower: int) -> tuple:
+    """(bits, half) for a key with ``lower`` fields below its top one: the top field is (key + half) >> bits."""
+    bits = FIELD_BITS * lower
+    return bits, (1 << bits) >> 1
+
+
+class TermsView(Mapping):
+    """Read-only map from exponent tuples to coefficients, decoded once on first use."""
+
+    __slots__ = ("_packed", "_dim", "_decoded")
+
+    def __init__(self, packed: dict, dim: int):
+        self._packed = packed
+        self._dim = dim
+        self._decoded = None
+
+    def _dict(self) -> dict:
+        d = self._decoded
+        if d is None:
+            unpack = _unpacker(self._dim)
+            d = self._decoded = {unpack(k): c for k, c in self._packed.items()}
+        return d
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __getitem__(self, m):
+        return self._dict()[m]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._packed.values()
+
+    def __repr__(self):
+        return f"TermsView({self._dict()!r})"
+
+
+def _new(cls, dim: int, terms: dict, bound: int):
+    """An element of ``cls`` on clean packed terms (no zero coefficients); no view yet."""
+    out = object.__new__(cls)
+    out.dim = dim
+    out._packed = terms
+    out._b = bound
+    return out
+
+
 class ExpPoly:
     """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_packed", "_b", "_view")  # _view is set on the first read of .terms
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.dim = dim
         clean = {}
+        bound = 0
         if terms:
             for m, c in terms.items():
                 m = tuple(int(x) for x in m)
                 if len(m) != dim:
                     raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
+                bound = max(bound, _guard(max(map(abs, m[:-1]), default=0)))
                 c = _as_coefficient(c)
                 if c:
-                    clean[m] = clean.get(m, 0) + c
-                    if not clean[m]:
-                        del clean[m]
-        self.terms = clean
+                    k = _pack(m)
+                    s = clean.get(k, 0) + c
+                    if s:
+                        clean[k] = s
+                    else:
+                        del clean[k]
+        self._packed = clean
+        self._b = bound
 
     # -- constructors ------------------------------------------------------
 
@@ -85,17 +217,27 @@ class ExpPoly:
         m = tuple(int(x) for x in m)
         return cls(len(m), {m: _as_coefficient(c)})
 
-    def _raw(self, terms: dict) -> "ExpPoly":
-        """An element of this type and dimension on clean terms (no zero coefficients)."""
+    def _raw(self, terms: dict, bound: int) -> "ExpPoly":
+        """An element of this type and dimension on clean packed terms; ``_new`` inlined."""
         out = object.__new__(type(self))
         out.dim = self.dim
-        out.terms = terms
+        out._packed = terms
+        out._b = bound
         return out
 
     def _scalar(self, c) -> "ExpPoly":
         """The constant ``c`` as an element of this type and dimension."""
         c = _as_coefficient(c)
-        return self._raw({(0,) * self.dim: c} if c else {})
+        return self._raw({0: c} if c else {}, 0)
+
+    @property
+    def terms(self) -> TermsView:
+        """Read-only view from each exponent tuple to its coefficient, made on first read."""
+        try:
+            return self._view
+        except AttributeError:
+            view = self._view = TermsView(self._packed, self.dim)
+            return view
 
     # -- ring structure ----------------------------------------------------
 
@@ -104,82 +246,96 @@ class ExpPoly:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ExpPoly):
             other = self._scalar(other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+        terms = dict(self._packed)
+        get = terms.get
+        for k, c in other._packed.items():
+            s = get(k, 0) + c
             if s:
-                terms[m] = s
+                terms[k] = s
             else:
-                terms.pop(m, None)
-        return self._raw(terms)
+                del terms[k]
+        return self._raw(terms, max(self._b, other._b))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._raw({m: -c for m, c in self.terms.items()})
+        return self._raw({k: -c for k, c in self._packed.items()}, self._b)
 
     def __sub__(self, other):
         """One merge pass; the terms keep the insertion order of ``self + (-other)``."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ExpPoly):
             other = self._scalar(other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) - c
+        terms = dict(self._packed)
+        get = terms.get
+        for k, c in other._packed.items():
+            s = get(k, 0) - c
             if s:
-                terms[m] = s
+                terms[k] = s
             else:
-                terms.pop(m, None)
-        return self._raw(terms)
+                del terms[k]
+        return self._raw(terms, max(self._b, other._b))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ExpPoly):
             c = _as_coefficient(other)
-            return self._raw({m: _as_coefficient(a * c) for m, a in self.terms.items()} if c else {})
+            return self._raw({k: _as_coefficient(a * c) for k, a in self._packed.items()} if c else {}, self._b)
         self._check(other)
+        bound = _guard(self._b + other._b)
         terms = {}
-        for m, a in self.terms.items():
-            for n, b in other.terms.items():
-                k = tuple(map(add, m, n))
-                s = terms.get(k, 0) + a * b
+        get = terms.get
+        right = other._packed.items()
+        for m, a in self._packed.items():
+            for n, b in right:
+                k = m + n
+                s = get(k, 0) + a * b
                 if s:
                     terms[k] = s
                 else:
-                    terms.pop(k, None)
-        return self._raw(terms)
+                    del terms[k]
+        return self._raw(terms, bound)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def shift(self, i: int, s: int) -> "ExpPoly":
         """The product with the monomial e^{s z_i/2}: exponent i of every term moves by s."""
-        return self._raw({m[:i] + (m[i] + s,) + m[i + 1 :]: c for m, c in self.terms.items()})
+        dim, bound = self.dim, self._b
+        if not 0 <= i < dim:
+            raise IndexError(f"exponent index {i} out of range for dimension {dim}")
+        if i < dim - 1:
+            bound = _guard(bound + abs(s))
+        step = s << (FIELD_BITS * i)
+        return self._raw({k + step: c for k, c in self._packed.items()}, bound)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._scalar(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._scalar(other)
+        return self.dim == other.dim and self._packed == other._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def coefficient(self, m: Iterable[int]) -> int | Fraction:
-        """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent."""
-        return self.terms.get(tuple(m), 0)
+        """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent or out of range."""
+        m = tuple(m)
+        if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m[:-1]):
+            return 0
+        return self._packed.get(_pack(m), 0)
 
     def evaluate(self, z_values) -> float:
         """Substitute real label values and return the real value.
@@ -204,7 +360,7 @@ class ExpPoly:
         return [{"m": list(m), "c": [c.numerator, c.denominator]} for m, c in self.sorted_terms()]
 
     def __repr__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -219,32 +375,35 @@ class ExpPoly:
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
 
-    The row m^T omega is formed once per left term and dotted with each right
-    exponent vector.
+    Each operand is decoded once per call; the row m^T omega is formed once
+    per left term and dotted with each right exponent vector.
     """
     f._check(g)
+    bound = _guard(f._b + g._b)
     terms = {}
-    right = g.terms.items()
+    get = terms.get
+    right = [(kn, b, n) for (kn, b), n in zip(g._packed.items(), g.terms)]
     columns = tuple(zip(*omega))
-    for m, a in f.terms.items():
+    for (km, a), m in zip(f._packed.items(), f.terms):
         row = [sum(map(mul, m, col)) for col in columns]
-        for n, b in right:
+        for kn, b, n in right:
             k = sum(map(mul, row, n))
             if not k:
                 continue
-            key = tuple(map(add, m, n))
-            s = terms.get(key, 0) + k * a * b
+            key = km + kn
+            s = get(key, 0) + k * a * b
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-    return f._raw({m: s // 4 if not s % 4 else Fraction(s, 4) for m, s in terms.items()})
+                del terms[key]
+    return f._raw({k: s // 4 if not s % 4 else Fraction(s, 4) for k, s in terms.items()}, bound)
 
 
 class LaurentPoly(ExpPoly):
     """Integer-coefficient Laurent polynomial in the formal unit rho = q^{1/4}.
 
-    The one-variable ``ExpPoly``: ``rho^n`` is stored under the key ``(n,)``.
+    The one-variable ``ExpPoly``: ``rho^n`` is stored under the packed key
+    ``n``, and its ``.terms`` view under ``(n,)``.
     """
 
     __slots__ = ()
@@ -262,27 +421,27 @@ class LaurentPoly(ExpPoly):
 
     def star(self) -> "LaurentPoly":
         """The involution rho -> rho^{-1}."""
-        return self._raw({(-n,): c for (n,), c in self.terms.items()})
+        return self._raw({-n: c for n, c in self._packed.items()}, 0)
 
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
-        return sum(self.terms.values())
+        return sum(self._packed.values())
 
     def is_scalar_multiple_of_one(self) -> bool:
-        return set(self.terms) <= {(0,)}
+        return set(self._packed) <= {0}
 
     def classical_derivative(self) -> int | Fraction:
         """(1/(2 pi i)) d/dhbar at hbar=0 of sum_n c_n rho^n with rho = e^{-i pi hbar/4}.
 
         Each rho^n contributes -n/8 at hbar = 0.
         """
-        return _as_coefficient(Fraction(sum(-n * c for (n,), c in self.terms.items()), 8))
+        return _as_coefficient(Fraction(sum(-n * c for n, c in self._packed.items()), 8))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
-        for (n,), c in self.sorted_terms():
+        for n, c in sorted(self._packed.items()):
             if n == 0:
                 parts.append(str(c))
             else:
@@ -291,9 +450,12 @@ class LaurentPoly(ExpPoly):
 
 
 class QExpPoly:
-    """Quantum-torus element: an ``ExpPoly`` in the exponents ``m + (r,)`` of ``rho^r e^{m.Z/2}``."""
+    """Quantum-torus element: an ``ExpPoly`` in the exponents ``m + (r,)`` of ``rho^r e^{m.Z/2}``.
 
-    __slots__ = ("flat",)
+    Rho is the top field of each packed key, ``key(m) + r * 2**(FIELD_BITS * dim)``.
+    """
+
+    __slots__ = ("flat", "_view")  # _view is set on the first read of .terms
 
     def __init__(self, dim: int, terms: Mapping[tuple, LaurentPoly] | None = None):
         flat = {}
@@ -303,8 +465,9 @@ class QExpPoly:
                 raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)
-            for r, a in c.terms.items():
-                flat[m + r] = flat.get(m + r, 0) + a
+            for r, a in c._packed.items():
+                k = m + (r,)
+                flat[k] = flat.get(k, 0) + a
         self.flat = ExpPoly(dim + 1, flat)
 
     @classmethod
@@ -320,8 +483,14 @@ class QExpPoly:
 
     @classmethod
     def from_classical(cls, f: ExpPoly) -> "QExpPoly":
-        """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c."""
-        return cls(f.dim, f.terms)
+        """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c.
+
+        The keys are reused as they are; f's top field becomes a lower field
+        here, so it joins the bound.
+        """
+        shift, half = _top_field(f.dim - 1)
+        top = max((abs((k + half) >> shift) for k in f._packed), default=0)
+        return cls._of(_new(ExpPoly, f.dim + 1, f._packed, _guard(max(f._b, top))))
 
     @property
     def dim(self) -> int:
@@ -329,12 +498,20 @@ class QExpPoly:
 
     @property
     def terms(self) -> Mapping[tuple, LaurentPoly]:
-        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient."""
+        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built once."""
+        try:
+            return self._view
+        except AttributeError:
+            pass
+        shift, half = _top_field(self.dim)
         grouped = {}
-        for k, c in self.flat.terms.items():
-            grouped.setdefault(k[:-1], {})[k[-1:]] = c
-        rho = LaurentPoly()
-        return MappingProxyType({m: rho._raw(cs) for m, cs in grouped.items()})
+        for k, c in self.flat._packed.items():
+            r = (k + half) >> shift
+            grouped.setdefault(k - (r << shift), {})[r] = c
+        unpack = _unpacker(self.dim)
+        view = {unpack(low): _new(LaurentPoly, 1, cs, 0) for low, cs in grouped.items()}
+        view = self._view = MappingProxyType(view)
+        return view
 
     _check = ExpPoly._check
 
@@ -352,8 +529,8 @@ class QExpPoly:
     def scale(self, c) -> "QExpPoly":
         if not isinstance(c, LaurentPoly):
             c = LaurentPoly.const(c)
-        zero = (0,) * self.dim
-        return QExpPoly._of(self.flat * ExpPoly(self.dim + 1, {zero + r: a for r, a in c.terms.items()}))
+        shift = _top_field(self.dim)[0]
+        return QExpPoly._of(self.flat * self.flat._raw({r << shift: a for r, a in c._packed.items()}, 0))
 
     def __eq__(self, other):
         if not isinstance(other, QExpPoly):
@@ -364,21 +541,36 @@ class QExpPoly:
         return bool(self.flat)
 
     def is_rho_free(self) -> bool:
-        return not any(k[-1] for k in self.flat.terms)
+        half = _top_field(self.dim)[1]
+        return all(-half <= k < half for k in self.flat._packed)
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
+        """The ``LaurentPoly`` coefficient of e^{m.Z/2}; 0 if absent or out of range."""
         m = tuple(m)
-        return LaurentPoly({k[-1]: c for k, c in self.flat.terms.items() if k[:-1] == m})
+        coeffs = {}
+        if len(m) == self.dim and all(abs(x) < EXPONENT_LIMIT for x in m):
+            low, (shift, half) = _pack(m), _top_field(self.dim)
+            for k, c in self.flat._packed.items():
+                r = (k + half) >> shift
+                if k - (r << shift) == low:
+                    coeffs[r] = c
+        return _new(LaurentPoly, 1, coeffs, 0)
 
     def at_rho_one(self) -> ExpPoly:
-        terms = {}
-        for k, c in self.flat.terms.items():
-            terms[k[:-1]] = terms.get(k[:-1], 0) + c
-        return ExpPoly(self.dim, terms)
+        shift, half = _top_field(self.dim)
+        sums = {}
+        for k, c in self.flat._packed.items():
+            low = k - ((k + half) >> shift << shift)
+            sums[low] = sums.get(low, 0) + c
+        terms = {k: _as_coefficient(c) for k, c in sums.items() if c}
+        return _new(ExpPoly, self.dim, terms, self.flat._b)
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
-        return QExpPoly._of(self.flat._raw({k[:-1] + (-k[-1],): c for k, c in self.flat.terms.items()}))
+        shift, half = _top_field(self.dim)
+        flat = self.flat
+        terms = {k - ((k + half) >> shift << (shift + 1)): c for k, c in flat._packed.items()}
+        return QExpPoly._of(flat._raw(terms, flat._b))
 
     def __repr__(self):
         if not self.flat:
@@ -392,32 +584,48 @@ class QExpPoly:
 
 
 def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
-    """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n."""
+    """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n.
+
+    Rho is the top field, so the twist is one subtraction of
+    ``(m^T omega n) * 2**(FIELD_BITS * dim)`` from the key; the bound is the
+    flat product's.
+    """
     f._check(g)
+    bound = _guard(f.flat._b + g.flat._b)
+    shift = _top_field(f.dim)[0]
     terms = {}
-    right = g.flat.terms.items()
-    for m, a in f.flat.terms.items():
+    get = terms.get
+    right = [(kn, b, n[:-1]) for (kn, b), n in zip(g.flat._packed.items(), g.flat.terms)]
+    for (km, a), m in zip(f.flat._packed.items(), f.flat.terms):
         z = m[:-1]
-        for n, b in right:
-            key = tuple(map(add, m, n))
-            k = pairing(z, n[:-1], omega)
+        for kn, b, n in right:
+            key = km + kn
+            k = pairing(z, n, omega)
             if k:
-                key = key[:-1] + (key[-1] - k,)
-            s = terms.get(key, 0) + a * b
+                key -= k << shift
+            s = get(key, 0) + a * b
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-    return QExpPoly._of(f.flat._raw(terms))
+                del terms[key]
+    return QExpPoly._of(f.flat._raw(terms, bound))
 
 
 def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     """(1/(2 pi i)) d/dhbar of [f o g - g o f] at hbar = 0, exactly.
 
     Requires rho-free inputs; the result equals the Poisson bracket of the
-    rho = 1 specializations.
+    rho = 1 specializations.  Each rho^r contributes -r/8, read off the top
+    field of the commutator's keys in one pass.
     """
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
-    comm = qmul(f, g, omega) - qmul(g, f, omega)
-    return ExpPoly(f.dim, {m: c.classical_derivative() for m, c in comm.terms.items()})
+    comm = (qmul(f, g, omega) - qmul(g, f, omega)).flat
+    shift, half = _top_field(f.dim)
+    sums = {}
+    for k, c in comm._packed.items():
+        r = (k + half) >> shift
+        low = k - (r << shift)
+        sums[low] = sums.get(low, 0) - r * c
+    terms = {k: _as_coefficient(Fraction(s, 8)) for k, s in sums.items()}
+    return _new(ExpPoly, f.dim, {k: c for k, c in terms.items() if c}, comm._b)

@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite
+from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, short_repr
 from .geodesics import PathError, float_report, next_darts, validate_path
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
@@ -100,9 +100,12 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
     alone and are planned once per pair (a small LRU cache); only the label
     law runs per call.  The after-graph's labels are still checked by the
     ``FatGraph`` label rule, so an overflow to inf raises ``FatGraphError``.
+    The edge must be a plain ``int`` (no ``bool``) in range.
     """
+    if type(e) is not int:
+        raise FatGraphError(f"edge {short_repr(e)} is not an integer edge index")
     if not 0 <= e < g.n_edges:
-        raise FatGraphError(f"edge {e} out of range")
+        raise FatGraphError(f"edge {short_repr(e)} out of range")
     plan = _flip_plan(g.sigma, e)
     if plan is None:
         raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")

@@ -1,0 +1,312 @@
+"""The packed-key ring against a test-owned copy of its earlier tuple-keyed form.
+
+The reference below keeps each exponent vector as a tuple, as ``ExpPoly``
+once did: ``tuple(map(add, m, n))`` per product pair, a sliced tuple per
+shifted term, ``m^T omega n`` from decoded rows.  The library now stores one
+packed int per vector; every result must have the same ``.terms``, in the
+same insertion order, and ``evaluate`` must return the same float bit for bit.
+The packed keys' field guard and the view's lazy decoding are checked here too.
+"""
+
+import ast
+import math
+import random
+from fractions import Fraction
+from operator import add, mul
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shearlab import exppoly
+from shearlab.exppoly import (
+    EXPONENT_LIMIT,
+    FIELD_BITS,
+    ExponentOverflow,
+    ExpPoly,
+    LaurentPoly,
+    QExpPoly,
+    classical_limit_commutator,
+    pairing,
+    poisson_bracket,
+    qmul,
+)
+from shearlab.fatgraph import tetrahedron
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "shearlab"
+
+
+# -- the tuple-keyed reference ring ---------------------------------------------
+
+
+def _merge(terms, k, c):
+    s = terms.get(k, 0) + c
+    if s:
+        terms[k] = s
+    else:
+        terms.pop(k, None)
+
+
+def _ref_add(x, y):
+    terms = dict(x)
+    for m, c in y.items():
+        _merge(terms, m, c)
+    return terms
+
+
+def _ref_sub(x, y):
+    terms = dict(x)
+    for m, c in y.items():
+        _merge(terms, m, -c)
+    return terms
+
+
+def _ref_mul(x, y):
+    terms = {}
+    for m, a in x.items():
+        for n, b in y.items():
+            _merge(terms, tuple(map(add, m, n)), a * b)
+    return terms
+
+
+def _ref_shift(x, i, s):
+    return {m[:i] + (m[i] + s,) + m[i + 1 :]: c for m, c in x.items()}
+
+
+def _ref_bracket(x, y, omega):
+    terms = {}
+    columns = tuple(zip(*omega))
+    for m, a in x.items():
+        row = [sum(map(mul, m, col)) for col in columns]
+        for n, b in y.items():
+            k = sum(map(mul, row, n))
+            if k:
+                _merge(terms, tuple(map(add, m, n)), k * a * b)
+    return {m: s // 4 if not s % 4 else Fraction(s, 4) for m, s in terms.items()}
+
+
+def _ref_qmul(x, y, omega):
+    """Flat terms ``m + (r,)`` on both sides; rho lowered by m^T omega n."""
+    terms = {}
+    for m, a in x.items():
+        for n, b in y.items():
+            key = tuple(map(add, m, n))
+            k = pairing(m[:-1], n[:-1], omega)
+            if k:
+                key = key[:-1] + (key[-1] - k,)
+            _merge(terms, key, a * b)
+    return terms
+
+
+def _ref_evaluate(x, z):
+    total = 0.0
+    for m, c in x.items():
+        total += float(c) * math.exp(sum(map(mul, m, z)) / 2.0)
+    return total
+
+
+# -- random elements in dims 1, 3, 6 and 7 ------------------------------------------
+
+
+def _omega(dim):
+    if dim == 6:
+        return tetrahedron().omega_matrix()
+    rng = random.Random(dim)
+    w = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w[i][j] = rng.randint(-2, 2)
+            w[j][i] = -w[i][j]
+    return w
+
+
+DIMS = (1, 3, 6, 7)
+# small exponents make terms merge and cancel; wide ones cross many fields' signs
+_exponent = st.one_of(st.integers(-2, 2), st.integers(-3000, 3000))
+_coeff = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def _polys(dim):
+    return st.dictionaries(st.tuples(*[_exponent] * dim), _coeff, max_size=6).map(lambda d: ExpPoly(dim, d))
+
+
+def _qpolys(dim):
+    laurents = st.dictionaries(st.integers(-6, 6), _coeff, max_size=3).map(LaurentPoly)
+    return st.dictionaries(st.tuples(*[_exponent] * dim), laurents, max_size=4).map(lambda d: QExpPoly(dim, d))
+
+
+def _same(poly, ref):
+    assert list(poly.terms.items()) == list(ref.items())
+
+
+def _same_value(poly, ref, rng):
+    for _ in range(3):
+        z = [rng.uniform(-0.02, 0.02) for _ in range(poly.dim)]
+        assert poly.evaluate(z).hex() == _ref_evaluate(ref, z).hex()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_ring_matches_the_tuple_ring(dim, data):
+    f, g, h = (data.draw(_polys(dim)) for _ in range(3))
+    F, G, H = dict(f.terms), dict(g.terms), dict(h.terms)
+    rng = random.Random(dim)
+    cases = [
+        (f + g, _ref_add(F, G)),
+        (f - g, _ref_sub(F, G)),
+        (f * g, _ref_mul(F, G)),
+        (f * g - f * h + g, _ref_add(_ref_sub(_ref_mul(F, G), _ref_mul(F, H)), G)),
+        (poisson_bracket(f, g, _omega(dim)), _ref_bracket(F, G, _omega(dim))),
+    ]
+    i, s = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(-5, 5))
+    cases.append((f.shift(i, s), _ref_shift(F, i, s)))
+    for poly, ref in cases:
+        _same(poly, ref)
+        _same_value(poly, ref, rng)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_qmul_matches_the_tuple_qmul(dim, data):
+    f, g = (data.draw(_qpolys(dim)) for _ in range(2))
+    omega = _omega(dim)
+    fg = qmul(f, g, omega)
+    _same(fg.flat, _ref_qmul(dict(f.flat.terms), dict(g.flat.terms), omega))
+    # the rho field, read off the top of each key, against the tuple view
+    star = {m[:-1] + (-m[-1],): c for m, c in fg.flat.terms.items()}
+    _same(fg.star().flat, star)
+    at_one = {}
+    for m, c in fg.flat.terms.items():
+        at_one[m[:-1]] = at_one.get(m[:-1], 0) + c
+    assert fg.at_rho_one() == ExpPoly(dim, at_one)
+    assert fg.is_rho_free() == all(m[-1] == 0 for m in fg.flat.terms)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_classical_limit_reads_the_rho_field(dim, data):
+    f, g = (data.draw(_polys(dim)) for _ in range(2))
+    omega = _omega(dim)
+    qf, qg = QExpPoly.from_classical(f), QExpPoly.from_classical(g)
+    comm = qmul(qf, qg, omega) - qmul(qg, qf, omega)
+    # the earlier form: regroup by exponent vector, then -r/8 per rho^r
+    ref = {m: c.classical_derivative() for m, c in comm.terms.items()}
+    _same(classical_limit_commutator(qf, qg, omega), {m: c for m, c in ref.items() if c})
+
+
+# -- the field guard ------------------------------------------------------------------
+
+
+def test_field_width_and_limit():
+    assert EXPONENT_LIMIT == 2 ** (FIELD_BITS - 1)
+
+
+@pytest.mark.parametrize("m", [(EXPONENT_LIMIT, 0, 0), (0, -EXPONENT_LIMIT, 0), (10**30, 0, 0)])
+def test_an_exponent_at_the_field_limit_is_rejected(m):
+    with pytest.raises(ExponentOverflow):
+        ExpPoly.monomial(m)
+    with pytest.raises(ExponentOverflow):
+        QExpPoly.monomial(m)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_keys_round_trip_at_the_field_edges(dim):
+    rng = random.Random(dim)
+    edge = (-(EXPONENT_LIMIT - 1), -1, 0, 1, EXPONENT_LIMIT - 1)
+    for _ in range(50):
+        m = tuple(rng.choice(edge) for _ in range(dim - 1)) + (rng.choice((-(10**9), -1, 0, 1, 10**9)),)
+        assert list(ExpPoly(dim, {m: 1}).terms) == [m]
+
+
+def test_the_top_field_is_unbounded():
+    # nothing lies above the top field, so it cannot carry; rho lives there
+    big = EXPONENT_LIMIT * 1000
+    assert ExpPoly.monomial((EXPONENT_LIMIT - 1, 0, big)).terms == {(EXPONENT_LIMIT - 1, 0, big): 1}
+    assert LaurentPoly.rho_power(big).star() == LaurentPoly.rho_power(-big)
+    with pytest.raises(ExponentOverflow):
+        QExpPoly.from_classical(ExpPoly.monomial((0, 0, EXPONENT_LIMIT)))
+
+
+def test_a_product_that_would_carry_raises():
+    top = ExpPoly.monomial((EXPONENT_LIMIT - 1, 0, 0))
+    with pytest.raises(ExponentOverflow):
+        top * ExpPoly.monomial((1, 0, 0))
+    with pytest.raises(ExponentOverflow):
+        poisson_bracket(top, ExpPoly.monomial((0, 1, 0)), _omega(3))
+    half = ExpPoly.monomial((0, -(EXPONENT_LIMIT // 2 - 1), 0))
+    assert (half * half).terms == {(0, -(EXPONENT_LIMIT - 2), 0): 1}
+
+
+def test_a_shift_that_would_carry_raises():
+    f = ExpPoly.monomial((0, EXPONENT_LIMIT - 1, 0), 3)
+    with pytest.raises(ExponentOverflow):
+        f.shift(1, 1)
+    with pytest.raises(ExponentOverflow):
+        f.shift(0, -EXPONENT_LIMIT)
+    assert f.shift(2, 10**6).terms == {(0, EXPONENT_LIMIT - 1, 10**6): 3}
+
+
+def test_a_qmul_that_would_carry_raises():
+    omega = _omega(3)
+    f = QExpPoly.monomial((0, 0, EXPONENT_LIMIT - 1))
+    with pytest.raises(ExponentOverflow):
+        qmul(f, QExpPoly.monomial((0, 0, 1)), omega)
+    # the pairing moves only the top (rho) field, however far
+    a, b = QExpPoly.monomial((16000, 0, 0)), QExpPoly.monomial((0, 16000, 0))
+    k = pairing((16000, 0, 0), (0, 16000, 0), omega)
+    assert abs(k) >= 2**FIELD_BITS
+    assert qmul(a, b, omega) == QExpPoly(3, {(16000, 16000, 0): LaurentPoly.rho_power(-k)})
+
+
+def test_coefficient_of_an_out_of_range_vector_is_zero():
+    f = ExpPoly.monomial((-1, 1, 0), 5)
+    # (2**B - 1, 0, 0) would pack to the same int as (-1, 1, 0)
+    assert f.coefficient((2**FIELD_BITS - 1, 0, 0)) == 0
+    assert f.coefficient((EXPONENT_LIMIT, 0, 0)) == 0
+    assert f.coefficient((-1, 1)) == 0
+    assert f.coefficient((-1, 1, 0)) == 5
+    q = QExpPoly.from_classical(f)
+    assert q.coefficient((2**FIELD_BITS - 1, 0, 0)) == LaurentPoly()
+    assert q.coefficient((0, 0, 2**FIELD_BITS)) == LaurentPoly()
+    assert q.coefficient((-1, 1, 0)) == LaurentPoly.const(5)
+
+
+# -- the packed dict stays inside exppoly.py; len() of the view never decodes ----------
+
+
+def test_only_exppoly_reads_the_packed_terms():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exppoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "_packed", f"{path.name}:{node.lineno} reads the packed term dict"
+
+
+def test_len_of_the_terms_view_does_not_decode(monkeypatch):
+    calls = []
+    unpacker = exppoly._unpacker
+
+    def counting(dim):
+        unpack = unpacker(dim)
+
+        def count(key):
+            calls.append(key)
+            return unpack(key)
+
+        return count
+
+    monkeypatch.setattr(exppoly, "_unpacker", counting)
+    f = ExpPoly(3, {(1, 0, 0): 1, (0, -2, 1): 2})
+    g = f * f
+    assert len(f.terms) == 2 and len(g.terms) == 3 and not g.is_zero()
+    assert calls == []
+    assert dict(g.terms) == {(2, 0, 0): 1, (1, -2, 1): 4, (0, -4, 2): 4}
+    assert len(calls) == 3
+    g.evaluate([0.1, 0.2, 0.3])
+    list(g.terms.items())
+    assert len(calls) == 3  # decoded once, then read from the cached view

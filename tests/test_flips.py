@@ -307,6 +307,22 @@ def test_self_loop_refusal_keeps_its_message():
         flip(loop, 3)
 
 
+@pytest.mark.parametrize(
+    "edge,message",
+    [
+        (10**5000, r"^edge <int of 16610 bits> out of range$"),
+        ("x", r"^edge 'x' is not an integer edge index$"),
+        (2.0, r"^edge 2\.0 is not an integer edge index$"),
+        (True, r"^edge True is not an integer edge index$"),
+    ],
+    ids=["huge-int", "str", "float", "bool"],
+)
+def test_flip_accepts_only_a_plain_int_edge(edge, message):
+    g = once_punctured_torus()
+    with pytest.raises(FatGraphError, match=message):
+        flip(g, edge)
+
+
 def test_flip_overflow_still_hits_the_label_rule():
     g = once_punctured_torus((1.7e308, 1.7e308, 0.0))
     with pytest.raises(FatGraphError, match=r"^label z\[1\] = inf is not a finite number$"):
