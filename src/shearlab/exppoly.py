@@ -27,8 +27,9 @@ Each field below the top one is balanced, ``|m_i| < EXPONENT_LIMIT =
 ``key(m + n) = key(m) + key(n)``.  A product costs one int add per term pair
 and ``shift`` one per term.  The top field has no field above it to carry
 into, so it is unbounded.  That is where ``QExpPoly`` keeps rho: ``qmul``,
-``star`` and ``at_rho_one`` adjust it by adding a multiple of
-``2**(FIELD_BITS * dim)``.  A ``LaurentPoly`` key is its rho exponent itself.
+``star`` and ``scale`` write it by adding a multiple of ``2**(FIELD_BITS *
+dim)``, and ``_rho_split`` is the one place that reads it back, splitting a
+key into ``key(m)`` and ``r``.  A ``LaurentPoly`` key is its rho exponent.
 
 The guard.  Every element carries a bound on ``|m_i|`` over its lower
 fields: the maximum at construction, the sum of both bounds for a product,
@@ -39,9 +40,8 @@ conservative: cancellation never lowers it.  Rho, in the top field, needs no
 bound, so ``qmul`` guards only the flat product's exponents and not the twist
 ``m^T omega n``.  ``coefficient`` of a vector outside the fields is 0.
 
-``.terms`` is a read-only view keyed by exponent tuples.  It decodes the keys
-on first use and keeps them, so ``evaluate`` and repeated reads decode once;
-``len(f.terms)`` never decodes.
+Exponents are plain ints; a float or a bool raises ``TypeError``.  ``.terms``
+is a read-only view keyed by exponent tuples, decoded on first read and kept.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable
+
+from .fatgraph import short_repr
 
 FIELD_BITS = 16  # each lower field decodes as a little-endian int16 ("h") in _unpacker
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
@@ -125,46 +127,34 @@ def _unpacker(dim: int):
     return unpack
 
 
-def _top_field(lower: int) -> tuple:
-    """(bits, half) for a key with ``lower`` fields below its top one: the top field is (key + half) >> bits."""
-    bits = FIELD_BITS * lower
-    return bits, (1 << bits) >> 1
+def _exponents(m, dim: int) -> tuple:
+    """``m`` as a tuple of ``dim`` plain ints: any other exponent (a float, a bool) raises ``TypeError``."""
+    m = tuple(m)
+    for x in m:
+        if type(x) is not int:
+            raise TypeError(f"exponent {short_repr(x)} is not an int")
+    if len(m) != dim:
+        raise DimensionMismatch(f"exponent vector {short_repr(m)} has length {len(m)}, expected {dim}")
+    return m
 
 
-class TermsView(Mapping):
-    """Read-only map from exponent tuples to coefficients, decoded once on first use."""
+def _check_omega(omega, dim: int):
+    """A pairing matrix with other than ``dim`` rows would silently drop or misread exponents."""
+    if len(omega) != dim:
+        raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
 
-    __slots__ = ("_packed", "_dim", "_decoded")
 
-    def __init__(self, packed: dict, dim: int):
-        self._packed = packed
-        self._dim = dim
-        self._decoded = None
+def _rho_split(flat: "ExpPoly"):
+    """``(key(m), r, c)`` for each term ``c rho^r e^{m.Z/2}`` of a quantum element's flat part.
 
-    def _dict(self) -> dict:
-        d = self._decoded
-        if d is None:
-            unpack = _unpacker(self._dim)
-            d = self._decoded = {unpack(k): c for k, c in self._packed.items()}
-        return d
-
-    def __len__(self):
-        return len(self._packed)
-
-    def __getitem__(self, m):
-        return self._dict()[m]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def items(self):
-        return self._dict().items()
-
-    def values(self):
-        return self._packed.values()
-
-    def __repr__(self):
-        return f"TermsView({self._dict()!r})"
+    Rho is the top field, above ``flat.dim - 1`` balanced ones: adding half a
+    top-field unit makes the lower part non-negative, so the shift reads ``r``.
+    """
+    shift = FIELD_BITS * (flat.dim - 1)
+    half = (1 << shift) >> 1
+    for k, c in flat._packed.items():
+        r = (k + half) >> shift
+        yield k - (r << shift), r, c
 
 
 def _new(cls, dim: int, terms: dict, bound: int):
@@ -185,20 +175,12 @@ class ExpPoly:
         self.dim = dim
         clean = {}
         bound = 0
-        if terms:
-            for m, c in terms.items():
-                m = tuple(int(x) for x in m)
-                if len(m) != dim:
-                    raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
-                bound = max(bound, _guard(max(map(abs, m[:-1]), default=0)))
-                c = _as_coefficient(c)
-                if c:
-                    k = _pack(m)
-                    s = clean.get(k, 0) + c
-                    if s:
-                        clean[k] = s
-                    else:
-                        del clean[k]
+        for m, c in (terms or {}).items():
+            m = _exponents(m, dim)
+            bound = max(bound, _guard(max(map(abs, m[:-1]), default=0)))
+            c = _as_coefficient(c)
+            if c:
+                clean[_pack(m)] = c
         self._packed = clean
         self._b = bound
 
@@ -210,33 +192,26 @@ class ExpPoly:
 
     @classmethod
     def const(cls, dim: int, c) -> "ExpPoly":
-        return cls(dim, {(0,) * dim: _as_coefficient(c)})
+        return cls(dim, {(0,) * dim: c})
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "ExpPoly":
-        m = tuple(int(x) for x in m)
-        return cls(len(m), {m: _as_coefficient(c)})
-
-    def _raw(self, terms: dict, bound: int) -> "ExpPoly":
-        """An element of this type and dimension on clean packed terms; ``_new`` inlined."""
-        out = object.__new__(type(self))
-        out.dim = self.dim
-        out._packed = terms
-        out._b = bound
-        return out
+        m = tuple(m)
+        return cls(len(m), {m: c})
 
     def _scalar(self, c) -> "ExpPoly":
         """The constant ``c`` as an element of this type and dimension."""
         c = _as_coefficient(c)
-        return self._raw({0: c} if c else {}, 0)
+        return _new(type(self), self.dim, {0: c} if c else {}, 0)
 
     @property
-    def terms(self) -> TermsView:
-        """Read-only view from each exponent tuple to its coefficient, made on first read."""
+    def terms(self) -> Mapping[tuple, int | Fraction]:
+        """Read-only view from each exponent tuple to its coefficient, decoded on first read and kept."""
         try:
             return self._view
         except AttributeError:
-            view = self._view = TermsView(self._packed, self.dim)
+            unpack = _unpacker(self.dim)
+            view = self._view = MappingProxyType({unpack(k): c for k, c in self._packed.items()})
             return view
 
     # -- ring structure ----------------------------------------------------
@@ -257,13 +232,13 @@ class ExpPoly:
                 terms[k] = s
             else:
                 del terms[k]
-        return self._raw(terms, max(self._b, other._b))
+        return _new(type(self), self.dim, terms, max(self._b, other._b))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._packed.items()}, self._b)
+        return _new(type(self), self.dim, {k: -c for k, c in self._packed.items()}, self._b)
 
     def __sub__(self, other):
         """One merge pass; the terms keep the insertion order of ``self + (-other)``."""
@@ -278,7 +253,7 @@ class ExpPoly:
                 terms[k] = s
             else:
                 del terms[k]
-        return self._raw(terms, max(self._b, other._b))
+        return _new(type(self), self.dim, terms, max(self._b, other._b))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -286,7 +261,8 @@ class ExpPoly:
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
             c = _as_coefficient(other)
-            return self._raw({k: _as_coefficient(a * c) for k, a in self._packed.items()} if c else {}, self._b)
+            terms = {k: _as_coefficient(a * c) for k, a in self._packed.items()} if c else {}
+            return _new(type(self), self.dim, terms, self._b)
         self._check(other)
         bound = _guard(self._b + other._b)
         terms = {}
@@ -300,7 +276,7 @@ class ExpPoly:
                     terms[k] = s
                 else:
                     del terms[k]
-        return self._raw(terms, bound)
+        return _new(type(self), self.dim, terms, bound)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -313,7 +289,7 @@ class ExpPoly:
         if i < dim - 1:
             bound = _guard(bound + abs(s))
         step = s << (FIELD_BITS * i)
-        return self._raw({k + step: c for k, c in self._packed.items()}, bound)
+        return _new(type(self), self.dim, {k + step: c for k, c in self._packed.items()}, bound)
 
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
@@ -379,6 +355,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     per left term and dotted with each right exponent vector.
     """
     f._check(g)
+    _check_omega(omega, f.dim)
     bound = _guard(f._b + g._b)
     terms = {}
     get = terms.get
@@ -396,7 +373,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return f._raw({k: s // 4 if not s % 4 else Fraction(s, 4) for k, s in terms.items()}, bound)
+    return _new(type(f), f.dim, {k: s // 4 if not s % 4 else Fraction(s, 4) for k, s in terms.items()}, bound)
 
 
 class LaurentPoly(ExpPoly):
@@ -421,7 +398,7 @@ class LaurentPoly(ExpPoly):
 
     def star(self) -> "LaurentPoly":
         """The involution rho -> rho^{-1}."""
-        return self._raw({-n: c for n, c in self._packed.items()}, 0)
+        return _new(type(self), self.dim, {-n: c for n, c in self._packed.items()}, 0)
 
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
@@ -460,14 +437,11 @@ class QExpPoly:
     def __init__(self, dim: int, terms: Mapping[tuple, LaurentPoly] | None = None):
         flat = {}
         for m, c in (terms or {}).items():
-            m = tuple(int(x) for x in m)
-            if len(m) != dim:
-                raise DimensionMismatch(f"exponent vector {m} has length {len(m)}, expected {dim}")
+            m = _exponents(m, dim)
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)
             for r, a in c._packed.items():
-                k = m + (r,)
-                flat[k] = flat.get(k, 0) + a
+                flat[m + (r,)] = a
         self.flat = ExpPoly(dim + 1, flat)
 
     @classmethod
@@ -478,18 +452,17 @@ class QExpPoly:
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "QExpPoly":
-        m = tuple(int(x) for x in m)
+        m = tuple(m)
         return cls(len(m), {m: c})
 
     @classmethod
     def from_classical(cls, f: ExpPoly) -> "QExpPoly":
         """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c.
 
-        The keys are reused as they are; f's top field becomes a lower field
-        here, so it joins the bound.
+        The keys are reused as they are; f's top field, read as rho would be,
+        becomes a lower field here, so it joins the bound.
         """
-        shift, half = _top_field(f.dim - 1)
-        top = max((abs((k + half) >> shift) for k in f._packed), default=0)
+        top = max((abs(r) for _, r, _ in _rho_split(f)), default=0)
         return cls._of(_new(ExpPoly, f.dim + 1, f._packed, _guard(max(f._b, top))))
 
     @property
@@ -498,20 +471,16 @@ class QExpPoly:
 
     @property
     def terms(self) -> Mapping[tuple, LaurentPoly]:
-        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built once."""
+        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built on first read and kept."""
         try:
             return self._view
         except AttributeError:
-            pass
-        shift, half = _top_field(self.dim)
-        grouped = {}
-        for k, c in self.flat._packed.items():
-            r = (k + half) >> shift
-            grouped.setdefault(k - (r << shift), {})[r] = c
-        unpack = _unpacker(self.dim)
-        view = {unpack(low): _new(LaurentPoly, 1, cs, 0) for low, cs in grouped.items()}
-        view = self._view = MappingProxyType(view)
-        return view
+            grouped = {}
+            for low, r, c in _rho_split(self.flat):
+                grouped.setdefault(low, {})[r] = c
+            unpack = _unpacker(self.dim)
+            view = self._view = MappingProxyType({unpack(k): _new(LaurentPoly, 1, cs, 0) for k, cs in grouped.items()})
+            return view
 
     _check = ExpPoly._check
 
@@ -529,8 +498,8 @@ class QExpPoly:
     def scale(self, c) -> "QExpPoly":
         if not isinstance(c, LaurentPoly):
             c = LaurentPoly.const(c)
-        shift = _top_field(self.dim)[0]
-        return QExpPoly._of(self.flat * self.flat._raw({r << shift: a for r, a in c._packed.items()}, 0))
+        shift = FIELD_BITS * self.dim
+        return QExpPoly._of(self.flat * _new(ExpPoly, self.flat.dim, {r << shift: a for r, a in c._packed.items()}, 0))
 
     def __eq__(self, other):
         if not isinstance(other, QExpPoly):
@@ -541,36 +510,28 @@ class QExpPoly:
         return bool(self.flat)
 
     def is_rho_free(self) -> bool:
-        half = _top_field(self.dim)[1]
-        return all(-half <= k < half for k in self.flat._packed)
+        return not any(r for _, r, _ in _rho_split(self.flat))
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
         """The ``LaurentPoly`` coefficient of e^{m.Z/2}; 0 if absent or out of range."""
         m = tuple(m)
-        coeffs = {}
-        if len(m) == self.dim and all(abs(x) < EXPONENT_LIMIT for x in m):
-            low, (shift, half) = _pack(m), _top_field(self.dim)
-            for k, c in self.flat._packed.items():
-                r = (k + half) >> shift
-                if k - (r << shift) == low:
-                    coeffs[r] = c
-        return _new(LaurentPoly, 1, coeffs, 0)
+        if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m):
+            return LaurentPoly()
+        key = _pack(m)
+        return _new(LaurentPoly, 1, {r: c for low, r, c in _rho_split(self.flat) if low == key}, 0)
 
     def at_rho_one(self) -> ExpPoly:
-        shift, half = _top_field(self.dim)
         sums = {}
-        for k, c in self.flat._packed.items():
-            low = k - ((k + half) >> shift << shift)
+        for low, _, c in _rho_split(self.flat):
             sums[low] = sums.get(low, 0) + c
         terms = {k: _as_coefficient(c) for k, c in sums.items() if c}
         return _new(ExpPoly, self.dim, terms, self.flat._b)
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
-        shift, half = _top_field(self.dim)
-        flat = self.flat
-        terms = {k - ((k + half) >> shift << (shift + 1)): c for k, c in flat._packed.items()}
-        return QExpPoly._of(flat._raw(terms, flat._b))
+        flat, shift = self.flat, FIELD_BITS * self.dim
+        terms = {low - (r << shift): c for low, r, c in _rho_split(flat)}
+        return QExpPoly._of(_new(ExpPoly, flat.dim, terms, flat._b))
 
     def __repr__(self):
         if not self.flat:
@@ -591,8 +552,9 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     flat product's.
     """
     f._check(g)
+    _check_omega(omega, f.dim)
     bound = _guard(f.flat._b + g.flat._b)
-    shift = _top_field(f.dim)[0]
+    shift = FIELD_BITS * f.dim
     terms = {}
     get = terms.get
     right = [(kn, b, n[:-1]) for (kn, b), n in zip(g.flat._packed.items(), g.flat.terms)]
@@ -608,7 +570,7 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return QExpPoly._of(f.flat._raw(terms, bound))
+    return QExpPoly._of(_new(ExpPoly, f.flat.dim, terms, bound))
 
 
 def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
@@ -621,11 +583,8 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
     comm = (qmul(f, g, omega) - qmul(g, f, omega)).flat
-    shift, half = _top_field(f.dim)
     sums = {}
-    for k, c in comm._packed.items():
-        r = (k + half) >> shift
-        low = k - (r << shift)
+    for low, r, c in _rho_split(comm):
         sums[low] = sums.get(low, 0) - r * c
     terms = {k: _as_coefficient(Fraction(s, 8)) for k, s in sums.items()}
     return _new(ExpPoly, f.dim, {k: c for k, c in terms.items() if c}, comm._b)

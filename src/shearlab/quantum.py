@@ -138,7 +138,7 @@ def empty_loop_constant(g: FatGraph, A: QGeodesic) -> tuple:
 
     zero = (0,) * g.n_edges
     scalar = diff.coefficient(zero)
-    defect = QExpPoly(g.n_edges, {m: c for m, c in diff.terms.items() if m != zero})
+    defect = diff - QExpPoly.monomial(zero, scalar)
     defect_classical = defect.at_rho_one()
     minus_q_minus_qinv = LaurentPoly({4: -1, -4: -1})
     report = {

@@ -191,6 +191,38 @@ def test_dimension_mismatch():
         ExpPoly.monomial((1, 0, 0)).evaluate([0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExpPoly(3, {(0.7, 1.9, True): 1}),
+        lambda: ExpPoly.monomial([2.5, 0, 0]),
+        lambda: QExpPoly.monomial([0.5, 1, 0]),
+        lambda: LaurentPoly({1.5: 2}),
+        lambda: QExpPoly(2, {(0, True): 1}),
+    ],
+    ids=["ExpPoly", "ExpPoly.monomial", "QExpPoly.monomial", "LaurentPoly", "QExpPoly-bool"],
+)
+def test_a_non_int_exponent_is_refused_not_truncated(make):
+    with pytest.raises(TypeError, match=r"exponent (0\.7|2\.5|0\.5|1\.5|True) is not an int"):
+        make()
+
+
+def test_an_omega_of_the_wrong_size_is_refused():
+    g = tetrahedron()
+    rng = random.Random(7)
+    p, q = (geodesic_function(g, random_closed_path(g, rng, 2, 8)) for _ in range(2))
+    torus_omega = once_punctured_torus().omega_matrix()
+    a, b = QExpPoly.from_classical(p), QExpPoly.from_classical(q)
+    for omega in (torus_omega, [[0] * 8 for _ in range(8)]):
+        with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
+            poisson_bracket(p, q, omega)
+        with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
+            qmul(a, b, omega)
+        with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
+            classical_limit_commutator(a, b, omega)
+    assert poisson_bracket(p, q, g.omega_matrix()) == classical_limit_commutator(a, b, g.omega_matrix())
+
+
 def test_evaluate():
     import math
 

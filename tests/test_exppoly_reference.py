@@ -5,7 +5,7 @@ once did: ``tuple(map(add, m, n))`` per product pair, a sliced tuple per
 shifted term, ``m^T omega n`` from decoded rows.  The library now stores one
 packed int per vector; every result must have the same ``.terms``, in the
 same insertion order, and ``evaluate`` must return the same float bit for bit.
-The packed keys' field guard and the view's lazy decoding are checked here too.
+The packed keys' field guard and the view's decode-once cache are checked here too.
 """
 
 import ast
@@ -275,7 +275,7 @@ def test_coefficient_of_an_out_of_range_vector_is_zero():
     assert q.coefficient((-1, 1, 0)) == LaurentPoly.const(5)
 
 
-# -- the packed dict stays inside exppoly.py; len() of the view never decodes ----------
+# -- the packed dict stays inside exppoly.py; the view decodes once --------------------
 
 
 def test_only_exppoly_reads_the_packed_terms():
@@ -287,7 +287,7 @@ def test_only_exppoly_reads_the_packed_terms():
                 assert node.attr != "_packed", f"{path.name}:{node.lineno} reads the packed term dict"
 
 
-def test_len_of_the_terms_view_does_not_decode(monkeypatch):
+def test_the_terms_view_decodes_once(monkeypatch):
     calls = []
     unpacker = exppoly._unpacker
 
@@ -303,10 +303,20 @@ def test_len_of_the_terms_view_does_not_decode(monkeypatch):
     monkeypatch.setattr(exppoly, "_unpacker", counting)
     f = ExpPoly(3, {(1, 0, 0): 1, (0, -2, 1): 2})
     g = f * f
-    assert len(f.terms) == 2 and len(g.terms) == 3 and not g.is_zero()
-    assert calls == []
+    assert calls == [] and not g.is_zero()  # building and multiplying decode nothing
+    assert len(f.terms) == 2 and len(g.terms) == 3
+    assert len(calls) == 5  # the first read of each view decodes each key once
     assert dict(g.terms) == {(2, 0, 0): 1, (1, -2, 1): 4, (0, -4, 2): 4}
-    assert len(calls) == 3
     g.evaluate([0.1, 0.2, 0.3])
     list(g.terms.items())
-    assert len(calls) == 3  # decoded once, then read from the cached view
+    assert len(calls) == 5  # later reads and evaluate use the cached view
+
+
+def test_both_terms_views_refuse_item_assignment():
+    f = ExpPoly.monomial((1, 0, 0), 2)
+    q = QExpPoly.from_classical(f)
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        q.terms[(1, 0, 0)] = LaurentPoly.const(1)
+    assert f.terms == {(1, 0, 0): 2} and q.terms == {(1, 0, 0): LaurentPoly.const(2)}
