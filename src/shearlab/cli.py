@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from . import flips, geodesics, quantum
 from .exppoly import poisson_bracket
-from .fatgraph import FatGraph, FatGraphError, TopologyReport, once_punctured_torus, tetrahedron
-from .geodesics import PathError, exact_report, float_report
-from .quantum import QuantumError
+from .fatgraph import FatGraph, TopologyReport, once_punctured_torus, tetrahedron
+from .geodesics import exact_report, float_report
 
 DEFAULT_SEED = 20260825
+_BUILT_IN = {"torus": once_punctured_torus, "tetrahedron": tetrahedron}
 
 
 def _emit(obj) -> None:
@@ -28,12 +28,7 @@ def _emit(obj) -> None:
 
 def _load_graph(spec: str) -> tuple[FatGraph, TopologyReport]:
     """The built-in or stored graph, validated once for every command, and its topology."""
-    if spec == "torus":
-        g = once_punctured_torus()
-    elif spec == "tetrahedron":
-        g = tetrahedron()
-    else:
-        g = FatGraph.load(spec)
+    g = _BUILT_IN[spec]() if spec in _BUILT_IN else FatGraph.load(spec)
     return g, g.validate()
 
 
@@ -291,7 +286,7 @@ def run(argv=None) -> int:
             _emit(rep)
             return 0 if rep["equal"] else 1
 
-    except (FatGraphError, PathError, QuantumError, OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -127,12 +127,18 @@ def _unpacker(dim: int):
     return unpack
 
 
-def _exponents(m, dim: int) -> tuple:
-    """``m`` as a tuple of ``dim`` plain ints: any other exponent (a float, a bool) raises ``TypeError``."""
+def _ints(m) -> tuple:
+    """``m`` as a tuple of plain ints: any other exponent (a float, a bool) raises ``TypeError``."""
     m = tuple(m)
     for x in m:
         if type(x) is not int:
             raise TypeError(f"exponent {short_repr(x)} is not an int")
+    return m
+
+
+def _exponents(m, dim: int) -> tuple:
+    """``_ints(m)``, which must have length ``dim``."""
+    m = _ints(m)
     if len(m) != dim:
         raise DimensionMismatch(f"exponent vector {short_repr(m)} has length {len(m)}, expected {dim}")
     return m
@@ -308,7 +314,7 @@ class ExpPoly:
 
     def coefficient(self, m: Iterable[int]) -> int | Fraction:
         """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent or out of range."""
-        m = tuple(m)
+        m = _ints(m)
         if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m[:-1]):
             return 0
         return self._packed.get(_pack(m), 0)
@@ -403,9 +409,6 @@ class LaurentPoly(ExpPoly):
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
         return sum(self._packed.values())
-
-    def is_scalar_multiple_of_one(self) -> bool:
-        return set(self._packed) <= {0}
 
     def classical_derivative(self) -> int | Fraction:
         """(1/(2 pi i)) d/dhbar at hbar=0 of sum_n c_n rho^n with rho = e^{-i pi hbar/4}.
@@ -514,7 +517,7 @@ class QExpPoly:
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
         """The ``LaurentPoly`` coefficient of e^{m.Z/2}; 0 if absent or out of range."""
-        m = tuple(m)
+        m = _ints(m)
         if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m):
             return LaurentPoly()
         key = _pack(m)

@@ -213,8 +213,7 @@ class FatGraph:
 
     def face_multiplicity(self, face) -> tuple:
         """How many times each edge appears on the face boundary."""
-        mult = _table(self.sigma)[1].get(tuple(face))
-        return mult if mult is not None else _multiplicity(face, self.n_edges)
+        return _multiplicity(face, self.n_edges)
 
     def face_perimeter(self, face):
         """Multiplicity-weighted label sum, as (exponent vector, numeric value)."""

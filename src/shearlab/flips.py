@@ -55,15 +55,6 @@ class FlipRecord:
     after: FatGraph
     rule: str  # which dart assignment was used for the new gluing
 
-    def to_json(self):
-        return {
-            "edge": self.edge,
-            "corners": list(self.corners),
-            "rule": self.rule,
-            "before": self.before.to_json(),
-            "after": self.after.to_json(),
-        }
-
 
 @functools.lru_cache(maxsize=256)
 def _flip_plan(sigma, e):
@@ -189,9 +180,9 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
                 elif psi[nd] != target:
                     ok = False
                     break
+        # every popped dart d has psi[sigma1(d)] == sigma2(psi[d]); edge_map need not be a bijection
         if ok and -1 not in psi and len(set(psi)) == n:
-            if all(g2.sigma[psi[d]] == psi[g1.sigma[d]] for d in range(n)):
-                return psi
+            return psi
     return None
 
 

@@ -1,9 +1,9 @@
 """Upper half-plane model: Moebius actions, classification, lengths, distance.
 
 Matrices act by z -> (az+b)/(cz+d) with ad - bc = 1; (a,b,c,d) and its
-negative are the same map.  Entries may be exact rationals (ints/Fractions),
-in which case the trace classification is decided exactly, or floats, in
-which case a 1e-12 tolerance is used.
+negative are the same map.  Entries may be exact rationals (ints/Fractions)
+or floats.  ``classify`` applies one rule to both: exact maps decide it with
+tolerance 0, float maps with tolerance 1e-12.
 """
 
 from __future__ import annotations
@@ -128,23 +128,14 @@ class MoebiusMap:
     # -- classification ----------------------------------------------------
 
     def classify(self) -> str:
+        tol = 0 if self.exact else _TOL
         a, b, c, d = self.entries()
-        t = self.trace
-        if self.exact:
-            if b == 0 and c == 0 and a == d:
-                return "identity"
-            disc = t * t - 4
-            if disc > 0:
-                return "hyperbolic"
-            if disc == 0:
-                return "parabolic"
-            return "elliptic"
-        if abs(b) <= _TOL and abs(c) <= _TOL and abs(a - d) <= _TOL:
+        if abs(b) <= tol and abs(c) <= tol and abs(a - d) <= tol:
             return "identity"
-        disc = float(t) * float(t) - 4.0
-        if disc > _TOL:
+        disc = self.trace * self.trace - 4
+        if disc > tol:
             return "hyperbolic"
-        if disc < -_TOL:
+        if disc < -tol:
             return "elliptic"
         return "parabolic"
 
@@ -172,9 +163,7 @@ class MoebiusMap:
         """Geodesic translation length l with |Tr| = 2 cosh(l/2)."""
         if self.classify() != "hyperbolic":
             raise HyperbolicError("translation length requires a hyperbolic map")
-        t = abs(float(self.trace))
-        lam = (t + math.sqrt(t * t - 4.0)) / 2.0
-        return 2.0 * math.log(lam)
+        return 2.0 * math.acosh(abs(float(self.trace)) / 2.0)
 
 
 def apply(m: MoebiusMap, z: UhpPoint) -> UhpPoint:

@@ -10,7 +10,14 @@ import pytest
 
 from shearlab.exppoly import ExpPoly, LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from shearlab.fatgraph import once_punctured_torus, tetrahedron
-from shearlab.flips import check_commutation, check_involution, check_pentagon, check_perimeters, flip, torus_modular_check
+from shearlab.flips import (
+    check_commutation,
+    check_involution,
+    check_pentagon,
+    check_perimeters,
+    flip,
+    torus_modular_check,
+)
 from shearlab.geodesics import (
     TORUS_A,
     TORUS_ABINV,

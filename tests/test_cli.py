@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import shearlab
 from shearlab.cli import _emit, run
 from shearlab.fatgraph import once_punctured_torus
 
@@ -318,3 +322,16 @@ def test_graph_validate_keeps_a_deeply_nested_label_error_short(tmp_path, capsys
     code, out, err = _run(capsys, "graph", "validate", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: label z[0] = [[[") and len(err) < 120
+
+
+def test_every_library_error_is_caught_by_the_one_cli_catch():
+    # run() catches (OSError, OverflowError, ValueError) and exits 2; a new error class must fit it
+    errors = []
+    for info in pkgutil.iter_modules(shearlab.__path__):
+        module = importlib.import_module(f"shearlab.{info.name}")
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if obj.__module__ == module.__name__ and issubclass(obj, BaseException):
+                errors.append(obj)
+    assert len(errors) >= 6
+    for cls in errors:
+        assert issubclass(cls, (ValueError, OverflowError)), cls

@@ -275,6 +275,15 @@ def test_coefficient_of_an_out_of_range_vector_is_zero():
     assert q.coefficient((-1, 1, 0)) == LaurentPoly.const(5)
 
 
+@pytest.mark.parametrize("cls", [ExpPoly, QExpPoly])
+@pytest.mark.parametrize("bad", [1.0, True, 0.0])
+def test_coefficient_refuses_a_non_int_exponent(cls, bad):
+    f = cls.monomial((1, 0, 0), 5)
+    for m in ((bad, 0, 0), (1, 0, bad)):
+        with pytest.raises(TypeError, match="is not an int"):
+            f.coefficient(m)
+
+
 # -- the packed dict stays inside exppoly.py; the view decodes once --------------------
 
 

@@ -28,6 +28,8 @@ from shearlab.geodesics import (
     random_closed_path,
 )
 
+from test_fatgraph_tables import _random_trivalent_sigma
+
 TOL = 1e-12
 
 
@@ -104,8 +106,6 @@ def test_flip_record_fields():
     assert rec.before == g
     assert sorted(rec.corners) == sorted((g.sigma[2], g.sigma[g.sigma[2]], g.sigma[3], g.sigma[g.sigma[3]]))
     assert rec.rule in ("anti", "clock")
-    data = rec.to_json()
-    assert data["edge"] == 1 and data["before"]["sigma"] == list(g.sigma)
 
 
 # -- flip relations -----------------------------------------------------------
@@ -177,6 +177,59 @@ def test_find_isomorphism_identity_and_relabelled():
 
 def test_find_isomorphism_dimension_guard():
     assert find_isomorphism(once_punctured_torus(), tetrahedron()) is None
+
+
+def _loop_free(g, a):
+    """Whether the vertex of dart ``a`` sits on three distinct edges."""
+    return len({a // 2, g.sigma[a] // 2, g.sigma[g.sigma[a]] // 2}) == 3
+
+
+def _random_connected_graph(rng, n_vertices):
+    """A random connected trivalent graph with at least one loop-free vertex."""
+    while True:
+        g = FatGraph(_random_trivalent_sigma(rng, n_vertices), _labels(rng, 3 * n_vertices // 2))
+        try:
+            g.validate()
+        except FatGraphError:
+            continue
+        if any(_loop_free(g, a) for a in range(g.n_darts)):
+            return g
+
+
+def _relabel(g, rng):
+    """``g`` under a random dart relabeling that keeps each edge's two darts together, and its edge map."""
+    edge_map = list(range(g.n_edges))
+    rng.shuffle(edge_map)
+    psi = []
+    for e in range(g.n_edges):
+        d = 2 * edge_map[e] + rng.randrange(2)
+        psi += [d, d ^ 1]
+    sigma = [0] * g.n_darts
+    z = [0] * g.n_edges
+    for d in range(g.n_darts):
+        sigma[psi[d]] = psi[g.sigma[d]]
+    for e in range(g.n_edges):
+        z[edge_map[e]] = g.z[e]
+    return FatGraph(sigma, z), edge_map
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_find_isomorphism_conjugates_sigma_on_random_relabelings(seed):
+    rng = random.Random(seed)
+    g = _random_connected_graph(rng, 2 * rng.randint(1, 4))
+    h, edge_map = _relabel(g, rng)
+    psi = find_isomorphism(g, h, edge_map)
+    assert psi is not None and sorted(psi) == list(range(g.n_darts))
+    for d in range(g.n_darts):
+        assert h.sigma[psi[d]] == psi[g.sigma[d]]
+        assert psi[d ^ 1] == psi[d] ^ 1 and psi[d] // 2 == edge_map[d // 2]
+    # reversing one vertex cycle of h on three distinct edges leaves no isomorphism with that edge map
+    a = next(a for a in range(h.n_darts) if _loop_free(h, a))
+    b = h.sigma[a]
+    c = h.sigma[b]
+    sigma = list(h.sigma)
+    sigma[a], sigma[b], sigma[c] = c, a, b
+    assert find_isomorphism(g, FatGraph(sigma, h.z), edge_map) is None
 
 
 # -- transport ----------------------------------------------------------------

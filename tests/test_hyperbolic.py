@@ -70,6 +70,15 @@ def test_fixed_points_elliptic_error():
         MoebiusMap(0, 1, -1, 0).fixed_points()
 
 
+def test_classify_exact_maps_use_tolerance_zero():
+    near = MoebiusMap(1, 0, Fraction(1, 10**13), 1)
+    assert near.classify() == "parabolic"
+    assert MoebiusMap(*map(float, near.entries())).classify() == "identity"
+    # trace 2 exactly, off the identity: disc == 0
+    assert MoebiusMap(3, -2, 2, -1).classify() == "parabolic"
+    assert MoebiusMap(3.0, -2.0, 2.0, -1.0).classify() == "parabolic"
+
+
 def test_translation_length():
     e = math.e
     assert abs(MoebiusMap(e, 0.0, 0.0, 1 / e).translation_length() - 2.0) <= TOL
@@ -85,6 +94,14 @@ def test_trace_length_relation():
         m = random_hyperbolic(rng)
         ell = m.translation_length()
         assert abs(abs(float(m.trace)) - 2 * math.cosh(ell / 2)) <= 1e-9
+
+
+def test_translation_length_matches_the_log_formula():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = random_hyperbolic(rng)
+        t = abs(float(m.trace))
+        assert abs(m.translation_length() - 2 * math.log((t + math.sqrt(t * t - 4)) / 2)) <= 1e-12
 
 
 def test_distance_basic():

@@ -47,7 +47,7 @@ def test_qskein_decomposition():
     # all other coefficients stay rho-free
     for m, c in g_ab.terms.items():
         if m != (0, 1, -1):
-            assert c.is_scalar_multiple_of_one()
+            assert set(c.terms) <= {(0,)}
 
 
 def test_qskein_reconstruction():
