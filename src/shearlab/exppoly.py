@@ -14,6 +14,10 @@ matrix ``omega``:
     {e^{m.z/2}, e^{n.z/2}} = (1/4) (m^T omega n) e^{(m+n).z/2}
     e^{m.Z/2} o e^{n.Z/2}  = rho^{-(m^T omega n)} e^{(m+n).Z/2}
 
+Both read ``m^T omega n`` from one row rule, ``_rows``: the row ``m^T
+omega`` is formed once per left term and dotted with each right exponent
+vector; in ``qmul`` the row's width stops the dot product before rho.
+
 Keeping exponents in half-units makes every identity exact over Q and
 Z[rho, rho^-1].
 
@@ -68,17 +72,6 @@ def _as_coefficient(c) -> int | Fraction:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
-
-
-def pairing(m: tuple, n: tuple, omega) -> int:
-    """m^T omega n for integer vectors and an antisymmetric integer matrix."""
-    total = 0
-    for i, mi in enumerate(m):
-        if not mi:
-            continue
-        row = omega[i]
-        total += mi * sum(row[j] * nj for j, nj in enumerate(n) if nj)
-    return total
 
 
 class DimensionMismatch(ValueError):
@@ -144,10 +137,19 @@ def _exponents(m, dim: int) -> tuple:
     return m
 
 
-def _check_omega(omega, dim: int):
-    """A pairing matrix with other than ``dim`` rows would silently drop or misread exponents."""
-    if len(omega) != dim:
+def _rows(f: "ExpPoly", omega, dim: int):
+    """``(key(m), c, m^T omega)`` for each term ``c e^{m.z/2}`` of ``f``: the one pairing rule.
+
+    ``omega`` must be ``dim x dim``; a matrix of any other shape, ragged
+    included, would silently drop or misread exponents.  Each row has
+    ``dim`` entries, so dotting it with an exponent vector of ``f.dim >= dim``
+    fields reads only the first ``dim``: a quantum element's rho field drops out.
+    """
+    if len(omega) != dim or any(len(row) != dim for row in omega):
         raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
+    columns = tuple(zip(*omega))
+    terms = zip(f._packed, f._packed.values(), f.terms)
+    return ((k, c, [sum(map(mul, m, col)) for col in columns]) for k, c, m in terms)
 
 
 def _rho_split(flat: "ExpPoly"):
@@ -357,18 +359,16 @@ class ExpPoly:
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
 
-    Each operand is decoded once per call; the row m^T omega is formed once
-    per left term and dotted with each right exponent vector.
+    m^T omega n comes from the row rule ``_rows``, as in ``qmul``: the row
+    m^T omega once per left term, dotted with each decoded right exponent vector.
     """
     f._check(g)
-    _check_omega(omega, f.dim)
+    rows = _rows(f, omega, f.dim)
     bound = _guard(f._b + g._b)
     terms = {}
     get = terms.get
-    right = [(kn, b, n) for (kn, b), n in zip(g._packed.items(), g.terms)]
-    columns = tuple(zip(*omega))
-    for (km, a), m in zip(f._packed.items(), f.terms):
-        row = [sum(map(mul, m, col)) for col in columns]
+    right = list(zip(g._packed, g._packed.values(), g.terms))
+    for km, a, row in rows:
         for kn, b, n in right:
             k = sum(map(mul, row, n))
             if not k:
@@ -409,13 +409,6 @@ class LaurentPoly(ExpPoly):
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
         return sum(self._packed.values())
-
-    def classical_derivative(self) -> int | Fraction:
-        """(1/(2 pi i)) d/dhbar at hbar=0 of sum_n c_n rho^n with rho = e^{-i pi hbar/4}.
-
-        Each rho^n contributes -n/8 at hbar = 0.
-        """
-        return _as_coefficient(Fraction(sum(-n * c for n, c in self._packed.items()), 8))
 
     def __repr__(self):
         if not self._packed:
@@ -550,22 +543,21 @@ class QExpPoly:
 def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n.
 
-    Rho is the top field, so the twist is one subtraction of
-    ``(m^T omega n) * 2**(FIELD_BITS * dim)`` from the key; the bound is the
-    flat product's.
+    m^T omega n comes from the row rule ``_rows``, as in ``poisson_bracket``.
+    Rho is the top field, so the twist is one subtraction of ``(m^T omega n)
+    * 2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
     """
     f._check(g)
-    _check_omega(omega, f.dim)
+    rows = _rows(f.flat, omega, f.dim)
     bound = _guard(f.flat._b + g.flat._b)
     shift = FIELD_BITS * f.dim
     terms = {}
     get = terms.get
-    right = [(kn, b, n[:-1]) for (kn, b), n in zip(g.flat._packed.items(), g.flat.terms)]
-    for (km, a), m in zip(f.flat._packed.items(), f.flat.terms):
-        z = m[:-1]
+    right = list(zip(g.flat._packed, g.flat._packed.values(), g.flat.terms))
+    for km, a, row in rows:
         for kn, b, n in right:
             key = km + kn
-            k = pairing(z, n, omega)
+            k = sum(map(mul, row, n))
             if k:
                 key -= k << shift
             s = get(key, 0) + a * b

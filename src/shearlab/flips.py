@@ -153,13 +153,20 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
     """Dart bijection taking (opp, sigma) of g1 to g2 and edge i to edge_map[i].
 
     Returns the dart map as a list, or None.  Labels must agree through
-    edge_map within 1e-12.
+    edge_map within 1e-12.  An edge_map that is not a list of g1.n_edges
+    edge indices of g2 raises ``FatGraphError``.
     """
+    if edge_map is None:
+        edge_map = list(range(g1.n_edges))
+    elif not (
+        isinstance(edge_map, list)
+        and len(edge_map) == g1.n_edges
+        and all(type(j) is int and 0 <= j < g2.n_edges for j in edge_map)
+    ):
+        raise FatGraphError(f"edge_map {short_repr(edge_map)} is not a list of {g1.n_edges} edge indices of g2")
     if g1.n_darts != g2.n_darts:
         return None
     n = g1.n_darts
-    if edge_map is None:
-        edge_map = list(range(g1.n_edges))
     if _label_gap(g1, g2, edge_map) > _TOL:
         return None
     for seed in (2 * edge_map[0], 2 * edge_map[0] + 1):

@@ -83,6 +83,8 @@ class MoebiusMap:
         else:
             a, b, c, d = (float(x) for x in (a, b, c, d))
             det = a * d - b * c
+            if not math.isfinite(det):  # a non-finite entry leaves det inf or nan, so this refuses it too
+                raise HyperbolicError(f"entries {[a, b, c, d]} or their determinant {det} are not finite")
             if abs(det - 1.0) > _TOL:
                 if det <= 0:
                     raise HyperbolicError(f"determinant {det} is not positive")
@@ -105,11 +107,11 @@ class MoebiusMap:
         return (self.a, self.b, self.c, self.d)
 
     def __eq__(self, other):
+        """Entry-wise, with the tolerance ``classify`` uses: 0 when both maps are exact, else 1e-12."""
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        return all(
-            abs(float(x) - float(y)) <= _TOL for x, y in zip(self.entries(), other.entries())
-        )
+        tol = 0 if self.exact and other.exact else _TOL
+        return all(abs(x - y) <= tol for x, y in zip(self.entries(), other.entries()))
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return MoebiusMap(

@@ -179,6 +179,20 @@ def test_find_isomorphism_dimension_guard():
     assert find_isomorphism(once_punctured_torus(), tetrahedron()) is None
 
 
+@pytest.mark.parametrize(
+    "edge_map",
+    [[0, 1, 2], list(range(7)), [9, 1, 2, 3, 4, 5], [-1, 1, 2, 3, 4, 5], [0.0, 1, 2, 3, 4, 5], (0, 1, 2, 3, 4, 5)],
+    ids=["short", "long", "past-the-end", "negative", "float", "tuple"],
+)
+def test_a_malformed_edge_map_is_refused(edge_map):
+    g = tetrahedron()
+    with pytest.raises(FatGraphError, match="edge_map .* is not a list of 6 edge indices"):
+        find_isomorphism(g, g, edge_map)
+    with pytest.raises(FatGraphError, match="edge_map .* is not a list of 6 edge indices"):
+        equivalent(g, g, edge_map)
+    assert equivalent(g, g, list(range(6)))
+
+
 def _loop_free(g, a):
     """Whether the vertex of dart ``a`` sits on three distinct edges."""
     return len({a // 2, g.sigma[a] // 2, g.sigma[g.sigma[a]] // 2}) == 3

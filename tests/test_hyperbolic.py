@@ -79,6 +79,15 @@ def test_classify_exact_maps_use_tolerance_zero():
     assert MoebiusMap(3.0, -2.0, 2.0, -1.0).classify() == "parabolic"
 
 
+def test_equality_uses_the_classify_tolerance():
+    near, one = MoebiusMap(1, 0, Fraction(1, 10**13), 1), MoebiusMap(1, 0, 0, 1)
+    # exact maps that classify differently are different maps
+    assert near != one and near == MoebiusMap(1, 0, Fraction(1, 10**13), 1)
+    # a float map on either side brings the float tolerance back
+    assert MoebiusMap(1.0, 0.0, 1e-13, 1.0) == one
+    assert near == MoebiusMap(1.0, 0.0, 0.0, 1.0)
+
+
 def test_translation_length():
     e = math.e
     assert abs(MoebiusMap(e, 0.0, 0.0, 1 / e).translation_length() - 2.0) <= TOL
@@ -180,3 +189,13 @@ def test_hyperbolic_circle():
 def test_determinant_enforced():
     with pytest.raises(HyperbolicError):
         MoebiusMap(1, 0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(math.nan, 0, 0, 1), (math.inf, 0, 0, 1), (1.0, 0.0, -math.inf, 1.0), (1e200, 0.0, 0.0, 1e200)],
+    ids=["nan-entry", "inf-entry", "minus-inf-entry", "overflowing-determinant"],
+)
+def test_a_non_finite_map_is_refused(entries):
+    with pytest.raises(HyperbolicError, match="not finite"):
+        MoebiusMap(*entries)
