@@ -174,6 +174,59 @@ def _new(cls, dim: int, terms: dict, bound: int):
     return out
 
 
+def _merge(into: dict, row: dict, rebase: int) -> dict:
+    """``into += row``, ``row``'s keys moved by ``rebase``; new keys go after ``into``'s, in ``row``'s order."""
+    get = into.get
+    for k, c in row.items():
+        k += rebase
+        into[k] = get(k, 0) + c
+    return into
+
+
+def _path_entries(dim: int, steps) -> tuple:
+    """The path matrix ``T_n X_{e_n} ... T_1 X_{e_1}`` of a word's ``(edge, left turn)`` steps.
+
+    Conjugated by ``diag(1, -1)`` every step matrix is non-negative (Fock):
+    with ``h = e^{z_e/2}`` a step multiplies the top row by ``1/h`` and the
+    bottom row by ``h``, then a left turn adds the top row to the bottom one
+    and a right turn the bottom row to the top one.  So the four entries are
+    plain ``{key: positive int}`` dicts whose merges never cancel, and the
+    off-diagonal signs are put back once at the end.  Each row's keys are
+    stored relative to a running offset, so a step moves no key but those of
+    the row being merged.  A merge keeps the top row's keys first, the
+    insertion order of ``-top + bottom`` and ``top - bottom`` on the signed
+    entries.
+
+    Every entry's bound is the number of steps on a lower-field edge; it is
+    guarded before any key is built.
+    """
+    bound = _guard(sum(e < dim - 1 for e, _ in steps))
+    (t0, t1), (b0, b1) = ({0: 1}, {}), ({}, {0: 1})
+    up = gap = 0  # the top row's key offset, and the bottom row's offset minus it
+    for e, left in steps:
+        step = 1 << (FIELD_BITS * e)
+        up -= step
+        gap += step << 1
+        if left:
+            b0 = _merge(dict(t0), b0, gap)
+            b1 = _merge(dict(t1), b1, gap)
+            gap = 0
+        else:
+            _merge(t0, b0, gap)
+            _merge(t1, b1, gap)
+    down = up + gap
+    return (
+        (
+            _new(ExpPoly, dim, {k + up: c for k, c in t0.items()}, bound),
+            _new(ExpPoly, dim, {k + up: -c for k, c in t1.items()}, bound),
+        ),
+        (
+            _new(ExpPoly, dim, {k + down: -c for k, c in b0.items()}, bound),
+            _new(ExpPoly, dim, {k + down: c for k, c in b1.items()}, bound),
+        ),
+    )
+
+
 class ExpPoly:
     """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
 

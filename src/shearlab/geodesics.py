@@ -8,7 +8,11 @@ The word compiles to the product T_n X_{z_n} ... T_1 X_{z_1} with
     L = [[0, 1], [-1, -1]],  R = [[1, 1], [-1, 0]],
     X_z = [[0, -e^{z/2}], [e^{-z/2}, 0]],
 
-and the geodesic function is the trace.
+and the geodesic function is the trace.  Conjugated by diag(1, -1) every
+step T X_z is non-negative (Fock), so a word is validated once into its
+(edge, left turn) steps and compiled by one kernel in the exact ring that
+merges positive integer entries with no cancellation; the off-diagonal signs
+are restored at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exppoly import ExpPoly, poisson_bracket
+from .exppoly import ExpPoly, _path_entries, poisson_bracket
 from .fatgraph import FatGraph, edge_of, opposite, short_repr
 
 
@@ -31,7 +35,12 @@ def next_darts(g: FatGraph, d: int):
     return t, g.sigma[t]
 
 
-def validate_path(g: FatGraph, path) -> tuple:
+def _steps(g: FatGraph, path) -> list:
+    """Validate a path word once: its ``(edge, left turn)`` step for each dart.
+
+    The turn after dart d is left if the next dart is sigma(opp(d)) and
+    right if it is sigma(sigma(opp(d))); any other next dart is refused.
+    """
     path = tuple(path)
     if not path:
         raise PathError("empty path word")
@@ -41,19 +50,27 @@ def validate_path(g: FatGraph, path) -> tuple:
             raise PathError(f"dart {short_repr(d)} is not an integer dart index")
         if not 0 <= d < n:
             raise PathError(f"dart {short_repr(d)} out of range")
+    steps = []
     for k, d in enumerate(path):
         nxt = path[(k + 1) % len(path)]
         if nxt == opposite(d):
             raise PathError(f"backtracking at step {k}: {d} -> {nxt}")
-        if nxt not in next_darts(g, d):
+        left, right = next_darts(g, d)
+        if nxt != left and nxt != right:
             raise PathError(f"invalid step {k}: {d} -> {nxt} is not joined at a vertex")
+        steps.append((edge_of(d), nxt == left))
+    return steps
+
+
+def validate_path(g: FatGraph, path) -> tuple:
+    path = tuple(path)
+    _steps(g, path)
     return path
 
 
 def turn_sequence(g: FatGraph, path) -> list:
     """Turn after each dart: 'L' for sigma(opp(d)), 'R' for sigma^2(opp(d))."""
-    path = validate_path(g, path)
-    return ["L" if path[(k + 1) % len(path)] == next_darts(g, d)[0] else "R" for k, d in enumerate(path)]
+    return ["L" if left else "R" for _, left in _steps(g, path)]
 
 
 def path_inverse(path) -> tuple:
@@ -97,27 +114,17 @@ def mat_eq(A, B) -> bool:
 def path_matrix(g: FatGraph, path):
     """T_n X_{e_n} ... T_1 X_{e_1} for the path's darts and turns.
 
-    With h = e^{z_e/2}, L X_e = [[1/h, 0], [-1/h, h]] and R X_e = [[1/h, -h], [0, h]]:
-    each step shifts the top row by -1 and the bottom row by +1 in coordinate e,
-    then subtracts one shifted row from the other.
-
-    Both steps have the sign pattern [[+, -], [-, +]] (non-negative after conjugation
-    by diag(1, -1)), so every product keeps it with no cancellation: the trace has
-    positive integer coefficients (Fock) and needs no PSL sign fix.
+    With h = e^{z_e/2}, L X_e = [[1/h, 0], [-1/h, h]] and R X_e = [[1/h, -h], [0, h]].
+    Both have the sign pattern [[+, -], [-, +]]: conjugated by diag(1, -1) they are
+    non-negative, and so is every product.  The word is validated once into its
+    (edge, left turn) steps, and one kernel in the ring multiplies them out on
+    the non-negative entries: each step shifts the top row by -1 and the bottom
+    row by +1 in coordinate e, then adds one row to the other, merging positive
+    integer coefficients that never cancel.  The off-diagonal signs are restored
+    at the end, so the trace has positive integer coefficients (Fock) and needs
+    no PSL sign fix.
     """
-    path = validate_path(g, path)
-    one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
-    top, bottom = (one, zero), (zero, one)
-    for k, d in enumerate(path):
-        e = edge_of(d)
-        top = tuple(x.shift(e, -1) for x in top)
-        bottom = tuple(x.shift(e, 1) for x in bottom)
-        if path[(k + 1) % len(path)] == next_darts(g, d)[0]:
-            # a left turn; -x + y keeps the generic product's term order, which evaluate() sums in
-            bottom = tuple(-x + y for x, y in zip(top, bottom))
-        else:
-            top = tuple(x - y for x, y in zip(top, bottom))
-    return top, bottom
+    return _path_entries(g.n_edges, _steps(g, path))
 
 
 def geodesic_function(g: FatGraph, path) -> ExpPoly:

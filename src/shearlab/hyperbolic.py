@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fatgraph import short_repr
+
 _TOL = 1e-12
 
 
@@ -30,6 +32,9 @@ class UhpPoint:
 
     @classmethod
     def interior(cls, x, y) -> "UhpPoint":
+        for v in (x, y):
+            if not (_is_exact(v) or math.isfinite(v)):
+                raise HyperbolicError(f"interior point needs finite coordinates, got {short_repr(v)}")
         if not y > 0:
             raise HyperbolicError(f"interior point needs y > 0, got y = {y}")
         return cls(x, y)
@@ -68,6 +73,14 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _float(x) -> float:
+    """``float(x)`` for an entry of a float map; an exact entry too large for a float raises ``HyperbolicError``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise HyperbolicError(f"entry {short_repr(x)} is too large for a float map") from None
+
+
 class MoebiusMap:
     """Real 2x2 determinant-one matrix modulo global sign."""
 
@@ -81,7 +94,7 @@ class MoebiusMap:
             if det != 1:
                 raise HyperbolicError(f"determinant is {det}, expected 1")
         else:
-            a, b, c, d = (float(x) for x in (a, b, c, d))
+            a, b, c, d = (_float(x) for x in (a, b, c, d))
             det = a * d - b * c
             if not math.isfinite(det):  # a non-finite entry leaves det inf or nan, so this refuses it too
                 raise HyperbolicError(f"entries {[a, b, c, d]} or their determinant {det} are not finite")

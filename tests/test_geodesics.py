@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shearlab.exppoly import ExpPoly
+from shearlab import exppoly
+from shearlab.exppoly import EXPONENT_LIMIT, ExponentOverflow, ExpPoly
 from shearlab.fatgraph import edge_of, once_punctured_torus, tetrahedron
 from shearlab.geodesics import (
     TORUS_A,
@@ -21,6 +22,7 @@ from shearlab.geodesics import (
     mat_inv,
     mat_mul,
     mat_trace,
+    next_darts,
     pair_traces,
     path_inverse,
     path_matrix,
@@ -33,6 +35,7 @@ from shearlab.geodesics import (
     turn_sequence,
     validate_path,
 )
+from test_positivity import random_surfaces
 
 TORUS = once_punctured_torus()
 TET = tetrahedron()
@@ -169,6 +172,73 @@ def test_path_matrix_matches_generic_product():
             M = path_matrix(g, p)
             assert mat_eq(M, _reference_path_matrix(g, p))
             assert mat_det(M) == 1
+
+
+def _shift_merge_path_matrix(g, path):
+    """The ring-operation compiler the packed kernel replaced: per dart, a shift of
+    each row and one signed merge, whose term order evaluate() sums in."""
+    path = validate_path(g, path)
+    one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
+    top, bottom = (one, zero), (zero, one)
+    for k, d in enumerate(path):
+        e = edge_of(d)
+        top = tuple(x.shift(e, -1) for x in top)
+        bottom = tuple(x.shift(e, 1) for x in bottom)
+        if path[(k + 1) % len(path)] == next_darts(g, d)[0]:
+            bottom = tuple(-x + y for x, y in zip(top, bottom))
+        else:
+            top = tuple(x - y for x, y in zip(top, bottom))
+    return top, bottom
+
+
+def _assert_same_entries(g, path, rng):
+    got, want = path_matrix(g, path), _shift_merge_path_matrix(g, path)
+    z = [rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)]
+    for i in range(2):
+        for j in range(2):
+            assert list(got[i][j].terms.items()) == list(want[i][j].terms.items()), (path, i, j)
+            assert got[i][j].evaluate(z).hex() == want[i][j].evaluate(z).hex(), (path, i, j)
+            assert got[i][j]._b == want[i][j]._b, (path, i, j)
+
+
+@pytest.mark.parametrize("g", [TORUS, TET], ids=["torus", "tetrahedron"])
+def test_path_matrix_keeps_the_shift_merge_term_order(g):
+    rng = random.Random(43)
+    for _ in range(200):
+        _assert_same_entries(g, random_closed_path(g, rng, 2, 14), rng)
+
+
+def test_path_matrix_keeps_the_shift_merge_term_order_on_random_surfaces():
+    rng = random.Random(47)
+    surfaces = set()
+    for g, rep in random_surfaces(rng, 30):
+        surfaces.add((rep.genus, rep.holes))
+        for _ in range(5):
+            _assert_same_entries(g, random_closed_path(g, rng, 2, 12), rng)
+    assert len(surfaces) >= 5
+
+
+class _Steps(list):
+    """A step list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_the_kernel_guards_the_exponent_bound_before_building_a_key():
+    # edge 2 is the top field of a 3-edge graph: its steps do not count
+    small = exppoly._path_entries(3, [(0, True), (2, False), (1, True), (2, True)])
+    assert all(x._b == 2 for row in small for x in row)
+    steps = _Steps([(0, True), (1, False)] * (EXPONENT_LIMIT // 2) + [(2, True)])
+    with pytest.raises(ExponentOverflow, match=str(EXPONENT_LIMIT)):
+        exppoly._path_entries(3, steps)
+    assert steps.passes == 1  # the guard's count, and no step taken
+    # the torus hole word has 4 lower-field darts: EXPONENT_LIMIT / 4 turns reach the limit
+    with pytest.raises(ExponentOverflow):
+        path_matrix(TORUS, TORUS_HOLE * (EXPONENT_LIMIT // 4))
 
 
 def test_pair_traces_match_full_matrix_products():

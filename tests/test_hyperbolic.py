@@ -199,3 +199,29 @@ def test_determinant_enforced():
 def test_a_non_finite_map_is_refused(entries):
     with pytest.raises(HyperbolicError, match="not finite"):
         MoebiusMap(*entries)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(math.nan, 1), (math.inf, 1), (-math.inf, 1.0), (0, math.nan), (0.5, math.inf), (0, -math.inf)],
+    ids=["nan-x", "inf-x", "minus-inf-x", "nan-y", "inf-y", "minus-inf-y"],
+)
+def test_a_non_finite_interior_point_is_refused(x, y):
+    with pytest.raises(HyperbolicError, match="finite coordinates"):
+        UhpPoint.interior(x, y)
+
+
+def test_exact_interior_coordinates_of_any_size_are_kept():
+    p = UhpPoint.interior(10**400, Fraction(1, 3))
+    assert p.x == 10**400 and p.y == Fraction(1, 3) and p.is_interior
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(10**400, 0, 0, 1.0), (1.0, 0, Fraction(-(10**400), 3), 1), (1.0, 10**309, 0, 1.0)],
+    ids=["huge-int", "huge-fraction", "just-past-float"],
+)
+def test_an_entry_too_large_for_a_float_map_is_refused(entries):
+    with pytest.raises(HyperbolicError, match=r"too large for a float map") as info:
+        MoebiusMap(*entries)
+    assert len(str(info.value)) < 120  # the entry is shown through short_repr

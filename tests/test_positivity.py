@@ -6,12 +6,14 @@ from shearlab.fatgraph import FatGraph, FatGraphError
 from shearlab.geodesics import mat_trace, path_matrix, random_closed_path
 
 
-def test_path_matrix_sign_pattern_on_random_surfaces():
-    # Fock positivity on random connected trivalent graphs of many Sigma_{g,s}: every
-    # path matrix has the pattern [[+, -], [-, +]], so its trace needs no PSL sign fix
-    rng = random.Random(37)
-    graphs, surfaces = 0, set()
-    while graphs < 60:
+def random_surfaces(rng, count):
+    """``count`` seeded random connected trivalent fat graphs, each with its validation report.
+
+    Each vertex joins three shuffled darts; a sigma that fails validation (a
+    disconnected graph) is drawn again.
+    """
+    found = 0
+    while found < count:
         darts = list(range(3 * rng.choice((2, 4, 6, 8))))
         rng.shuffle(darts)
         sigma = [0] * len(darts)
@@ -23,7 +25,16 @@ def test_path_matrix_sign_pattern_on_random_surfaces():
             rep = g.validate()
         except FatGraphError:
             continue
-        graphs += 1
+        found += 1
+        yield g, rep
+
+
+def test_path_matrix_sign_pattern_on_random_surfaces():
+    # Fock positivity on random connected trivalent graphs of many Sigma_{g,s}: every
+    # path matrix has the pattern [[+, -], [-, +]], so its trace needs no PSL sign fix
+    rng = random.Random(37)
+    surfaces = set()
+    for g, rep in random_surfaces(rng, 60):
         surfaces.add((rep.genus, rep.holes))
         for _ in range(5):
             (p00, p01), (p10, p11) = path_matrix(g, random_closed_path(g, rng, 2, 10))

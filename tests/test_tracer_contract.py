@@ -75,6 +75,26 @@ def test_each_word_compiles_once_per_check(tracing):
         tracer.uninstall()
 
 
+def test_path_matrix_makes_no_ring_calls(tracing):
+    # the compiler merges packed entries in one kernel: no ExpPoly sum or product per dart
+    torus, tet = once_punctured_torus(), fatgraph.tetrahedron()
+    words = [(torus, w) for w in (geodesics.TORUS_A, geodesics.TORUS_B, geodesics.TORUS_HOLE)]
+    words += [(tet, w) for w in ((7, 1, 2), (6, 10, 5, 2, 10, 5, 2, 10, 9))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for g, w in words:
+            geodesics.path_matrix(g, w)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    stats = tracer.snapshot()
+    assert stats["geodesics.compile"]["calls"] == len(words)
+    assert stats["geodesics.compile"]["darts"] == sum(len(w) for _, w in words)
+    assert "exppoly.add" not in stats and "exppoly.mul" not in stats
+
+
 def test_pair_products_form_only_the_traces(tracing):
     torus = once_punctured_torus()
     tracer = tracing.Tracer()
