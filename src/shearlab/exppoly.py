@@ -28,18 +28,18 @@ exponent vector (Monagan and Pearce's packed exponent vectors):
 
 Each field below the top one is balanced, ``|m_i| < EXPONENT_LIMIT =
 2**(FIELD_BITS - 1)``, so the packing is one-to-one and linear:
-``key(m + n) = key(m) + key(n)``.  A product costs one int add per term pair
-and ``shift`` one per term.  The top field has no field above it to carry
-into, so it is unbounded.  That is where ``QExpPoly`` keeps rho: ``qmul``,
-``star`` and ``scale`` write it by adding a multiple of ``2**(FIELD_BITS *
-dim)``, and ``_rho_split`` is the one place that reads it back, splitting a
-key into ``key(m)`` and ``r``.  A ``LaurentPoly`` key is its rho exponent.
+``key(m + n) = key(m) + key(n)``.  A product costs one int add per term
+pair.  The top field has no field above it to carry into, so it is
+unbounded.  That is where ``QExpPoly`` keeps rho: ``qmul``, ``star`` and
+``scale`` write it by adding a multiple of ``2**(FIELD_BITS * dim)``, and
+``_rho_split`` is the one place that reads it back, splitting a key into
+``key(m)`` and ``r``.  A ``LaurentPoly`` key is its rho exponent.
 
 The guard.  Every element carries a bound on ``|m_i|`` over its lower
 fields: the maximum at construction, the sum of both bounds for a product,
-``+ |s|`` for a shift, the larger bound for a sum.  An operation whose bound
-would reach ``EXPONENT_LIMIT`` raises ``ExponentOverflow`` before it builds a
-key, so a carry can never alias two exponent vectors.  The bound is
+the larger bound for a sum.  An operation whose bound would reach
+``EXPONENT_LIMIT`` raises ``ExponentOverflow`` before it builds a key, so a
+carry can never alias two exponent vectors.  The bound is
 conservative: cancellation never lowers it.  Rho, in the top field, needs no
 bound, so ``qmul`` guards only the flat product's exponents and not the twist
 ``m^T omega n``.  ``coefficient`` of a vector outside the fields is 0.
@@ -51,10 +51,10 @@ is a read-only view keyed by exponent tuples, decoded on first read and kept.
 from __future__ import annotations
 
 import functools
-import math
 import struct
 from collections.abc import Mapping
 from fractions import Fraction
+from math import exp
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable
@@ -63,6 +63,7 @@ from .fatgraph import short_repr
 
 FIELD_BITS = 16  # each lower field decodes as a little-endian int16 ("h") in _unpacker
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FLOAT = frozenset((float,))
 
 
 def _as_coefficient(c) -> int | Fraction:
@@ -230,7 +231,7 @@ def _path_entries(dim: int, steps) -> tuple:
 class ExpPoly:
     """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
 
-    __slots__ = ("dim", "_packed", "_b", "_view")  # _view is set on the first read of .terms
+    __slots__ = ("dim", "_packed", "_b", "_view", "_plan")  # set on the first .terms and evaluate
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.dim = dim
@@ -342,16 +343,6 @@ class ExpPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def shift(self, i: int, s: int) -> "ExpPoly":
-        """The product with the monomial e^{s z_i/2}: exponent i of every term moves by s."""
-        dim, bound = self.dim, self._b
-        if not 0 <= i < dim:
-            raise IndexError(f"exponent index {i} out of range for dimension {dim}")
-        if i < dim - 1:
-            bound = _guard(bound + abs(s))
-        step = s << (FIELD_BITS * i)
-        return _new(type(self), self.dim, {k + step: c for k, c in self._packed.items()}, bound)
-
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             if not isinstance(other, (int, Fraction)):
@@ -381,13 +372,22 @@ class ExpPoly:
         ``float(c) * exp((m . z) / 2)`` with the dot product summed left to
         right.  That order and that arithmetic are part of the output
         contract: CLI reports and the flip-walk traces depend on the exact
-        float this returns.
+        float this returns.  The ``(float(c), m)`` pairs are planned on the
+        first call and cached.  For all-float values the plan's ``m`` is in
+        floats, which ``m_i * z_i`` converts it to anyway (a vector with an
+        entry past 2**53 stays in ints, to convert or overflow only there).
         """
         if len(z_values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} values, got {len(z_values)}")
+        try:
+            floats, exact = self._plan
+        except AttributeError:
+            exact = [(float(c), m) for m, c in self.terms.items()]
+            floats = [(c, m if max(map(abs, m), default=0) > 1 << 53 else tuple(map(float, m))) for c, m in exact]
+            self._plan = floats, exact
         total = 0.0
-        for m, c in self.terms.items():
-            total += float(c) * math.exp(sum(map(mul, m, z_values)) / 2.0)
+        for c, m in floats if _FLOAT.issuperset(map(type, z_values)) else exact:
+            total += c * exp(sum(map(mul, m, z_values)) / 2.0)
         return total
 
     def sorted_terms(self):

@@ -151,6 +151,13 @@ class FatGraph:
         g._fill(self.sigma, tuple(z))
         return g
 
+    def _relabel(self, z: tuple) -> "FatGraph":
+        """``with_labels(z)`` for a tuple ``z`` of finite floats, one per edge, which the caller vouches for."""
+        g = object.__new__(FatGraph)
+        object.__setattr__(g, "sigma", self.sigma)
+        object.__setattr__(g, "z", z)
+        return g
+
     def __eq__(self, other):
         if not isinstance(other, FatGraph):
             return NotImplemented

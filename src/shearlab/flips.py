@@ -21,6 +21,10 @@ doubling).  Alternate corners around the quadrilateral thus receive
 geodesic traces and face perimeters (phi(z) - phi(-z) = z makes the
 cancellations exact).
 
+The two corner terms share one exp and one log1p (``_phi_pair``): with
+t = log1p(exp(-|z_e|)), (phi(z_e), -phi(-z_e)) is (z_e + t, -t) if z_e > 0
+and (t, -(t - z_e)) otherwise, bit for bit, signed zeros included.
+
 Two dart assignments realize the re-glued pairing (which dart of e ends up
 at which new vertex).  We pick the one determined by where the smallest
 corner dart sits; the choice alternates under repeated flips, which makes
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, short_repr
 from .geodesics import PathError, float_report, next_darts, validate_path
@@ -45,6 +50,12 @@ def phi(z: float) -> float:
     if z > 0:
         return z + math.log1p(math.exp(-z))
     return math.log1p(math.exp(z))
+
+
+def _phi_pair(z: float) -> tuple:
+    """``(phi(z), -phi(-z))`` from one exp and one log1p, bit for bit."""
+    t = math.log1p(math.exp(-abs(z)))
+    return (z + t, -t) if z > 0 else (t, -(t - z))
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,9 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
 
     The re-glued sigma, the corners and the rule depend on ``(g.sigma, e)``
     alone and are planned once per pair (a small LRU cache); only the label
-    law runs per call.  The after-graph's labels are still checked by the
-    ``FatGraph`` label rule, so an overflow to inf raises ``FatGraphError``.
+    law runs per call.  Only the four corner labels can leave the float
+    range, so only they are checked; an overflow to inf goes through the
+    ``FatGraph`` label rule and raises its ``FatGraphError``.
     The edge must be a plain ``int`` (no ``bool``) in range.
     """
     if type(e) is not int:
@@ -102,15 +114,19 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
         raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
     shape, corners, rule, (ep1, ep2, eq1, eq2) = plan
 
-    ze = float(g.z[e])
-    z = [float(x) for x in g.z]
+    z = list(map(float, g.z))
+    ze = z[e]
     z[e] = -ze if ze != 0.0 else 0.0
-    up, down = phi(ze), -phi(-ze)
+    up, down = _phi_pair(ze)
     z[ep1] += up
     z[ep2] += up
     z[eq1] += down
     z[eq2] += down
-    return FlipRecord(e, corners, g, shape.with_labels(z), rule)
+    # only a corner can overflow, and the four corners' sum is finite only if each is
+    after = shape._relabel(tuple(z)) if math.isfinite(z[ep1] + z[ep2] + z[eq1] + z[eq2]) else shape.with_labels(z)
+    record = object.__new__(FlipRecord)  # FlipRecord(...) without the frozen __init__'s __setattr__ per field
+    record.__dict__.update(edge=e, corners=corners, before=g, after=after, rule=rule)
+    return record
 
 
 def transport_path(record: FlipRecord, path):
@@ -203,7 +219,7 @@ def equivalent(g1: FatGraph, g2: FatGraph, edge_map=None) -> bool:
 def _label_gap(g1: FatGraph, g2: FatGraph, edge_map=None) -> float:
     """The largest ``|g1.z[i] - g2.z[edge_map[i]]|``; the identity map when ``edge_map`` is None."""
     z2 = g2.z if edge_map is None else [g2.z[j] for j in edge_map]
-    return max([abs(float(x) - float(y)) for x, y in zip(g1.z, z2)])
+    return max(map(abs, map(sub, map(float, g1.z), map(float, z2))))
 
 
 def _flip_word(g: FatGraph, edges) -> FatGraph:
@@ -250,7 +266,7 @@ def check_perimeters(g: FatGraph, e: int) -> dict:
     after = flip(g, e).after
     before_vals = sorted([v for _, v in g.perimeters()])
     after_vals = sorted([v for _, v in after.perimeters()])
-    residual = max(abs(x - y) for x, y in zip(before_vals, after_vals))
+    residual = max(map(abs, map(sub, before_vals, after_vals)))
     return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
 
 

@@ -73,11 +73,6 @@ def turn_sequence(g: FatGraph, path) -> list:
     return ["L" if left else "R" for _, left in _steps(g, path)]
 
 
-def path_inverse(path) -> tuple:
-    """The reversed traversal: opposite darts in reverse order."""
-    return tuple(opposite(d) for d in reversed(path))
-
-
 def graph_simple(path) -> bool:
     """True iff no edge is traversed twice."""
     edges = [edge_of(d) for d in path]

@@ -254,21 +254,3 @@ def hyperbolic_circle(center: UhpPoint, radius: float):
         UhpPoint.interior(x0, y0 * math.cosh(radius)),
         y0 * math.sinh(radius),
     )
-
-
-def random_unimodular(rng) -> MoebiusMap:
-    """Random determinant-one matrix from gaussian entries."""
-    while True:
-        a = rng.gauss(0.0, 1.0)
-        b = rng.gauss(0.0, 1.0)
-        c = rng.gauss(0.0, 1.0)
-        if abs(a) > 0.1:
-            return MoebiusMap(a, b, c, (1.0 + b * c) / a)
-
-
-def random_hyperbolic(rng) -> MoebiusMap:
-    """Random hyperbolic map: conjugated diag(lambda, 1/lambda), lambda > 1."""
-    lam = math.exp(rng.uniform(0.2, 2.0))
-    g = random_unimodular(rng)
-    diag = MoebiusMap(lam, 0.0, 0.0, 1.0 / lam)
-    return g @ diag @ g.inverse()

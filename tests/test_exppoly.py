@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -329,3 +329,68 @@ def test_evaluate_matches_the_generator_form_bit_for_bit(make):
         for _ in range(32):
             z = [rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)]
             assert f.evaluate(z).hex() == _evaluate_reference(f, z).hex()
+
+
+# -- evaluate's cached plan against the dense loop ---------------------------------
+
+
+def _dense_evaluate(f, z):
+    """evaluate as it was before its plan was cached: every term, every exponent, ints as stored."""
+    total = 0.0
+    for m, c in f.terms.items():
+        total += float(c) * math.exp(sum(map(mul, m, z)) / 2.0)
+    return total
+
+
+def _outcome(fn, *args):
+    """The float an evaluation returns (its hex, so the sign of zero counts), or the error it raises."""
+    try:
+        return fn(*args).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 708.0, -708.0, 710.0, -710.0]
+
+
+def _label_vectors(rng, n):
+    """Float, int, Fraction and mixed label vectors, and a few with extreme or non-finite floats."""
+    yield [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    yield tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+    yield [rng.choice(_EXTREMES) for _ in range(n)]
+    yield [rng.choice((math.inf, -math.inf, math.nan, 0.5)) for _ in range(n)]
+    yield [rng.randint(-3, 3) for _ in range(n)]
+    yield [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+    yield [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-9, 9), 7), rng.uniform(-2, 2))) for _ in range(n)]
+    yield [True] + [rng.uniform(-2.0, 2.0) for _ in range(n - 1)]
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, tetrahedron], ids=["torus", "tetrahedron"])
+def test_evaluate_plan_matches_the_dense_loop_for_every_label_type(make):
+    g = make()
+    rng = random.Random(61)
+    polys = [geodesic_function(g, random_closed_path(g, rng, 2, 10)) for _ in range(20)]
+    omega = g.omega_matrix()
+    polys += [poisson_bracket(polys[k], polys[k + 1], omega) for k in range(0, 10, 2)]  # Fraction coefficients
+    for f in polys:
+        for _ in range(6):
+            for z in _label_vectors(rng, g.n_edges):
+                assert _outcome(f.evaluate, z) == _outcome(_dense_evaluate, f, z)
+
+
+def test_evaluate_plan_keeps_huge_top_exponents_as_ints():
+    """An exponent past 2**53 is not converted by the plan: it converts, or overflows, only as before."""
+    for f in (ExpPoly(2, {(1, 2**60 + 1): 3, (-1, 0): 1}), ExpPoly(2, {(1, 10**400): 1, (0, 0): 2})):
+        for z in ([0.5, 0.0], [0.5, 1e-300], [1, 0], [Fraction(1, 3), 0], [0.5, -0.0]):
+            assert _outcome(f.evaluate, z) == _outcome(_dense_evaluate, f, z)
+
+
+def test_evaluate_refuses_a_wrong_length_before_building_its_plan():
+    f = ExpPoly(3, {(1, 0, -1): 2, (0, 1, 1): Fraction(1, 3)})
+    with pytest.raises(DimensionMismatch):
+        f.evaluate([0.0, 0.0])
+    assert not hasattr(f, "_plan")
+    assert f.evaluate([0.1, 0.2, 0.3]) == _dense_evaluate(f, [0.1, 0.2, 0.3])
+    assert hasattr(f, "_plan")
+    with pytest.raises(DimensionMismatch):
+        f.evaluate([0.0] * 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from shearlab.fatgraph import FatGraph, FatGraphError, once_punctured_torus, tetrahedron
 from shearlab.flips import (
+    FlipRecord,
+    _phi_pair,
     check_commutation,
     check_involution,
     check_pentagon,
@@ -394,6 +397,62 @@ def test_flip_overflow_still_hits_the_label_rule():
     g = once_punctured_torus((1.7e308, 1.7e308, 0.0))
     with pytest.raises(FatGraphError, match=r"^label z\[1\] = inf is not a finite number$"):
         flip(g, 0)
+
+
+# -- the fused corner law and the record ------------------------------------------
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 708.0, -708.0, 710.0, -710.0]
+
+
+def test_phi_pair_is_the_two_phi_calls_bit_for_bit():
+    rng = random.Random(67)
+    values = _EXTREMES + [800.0, -800.0, 1.7e308, -1.7e308] + [rng.uniform(-40, 40) for _ in range(20000)]
+    values += [rng.uniform(-800, 800) for _ in range(20000)]
+    for z in values:
+        up, down = _phi_pair(z)
+        want_up, want_down = phi(z), -phi(-z)
+        assert (up, down) == (want_up, want_down), z
+        assert (math.copysign(1.0, up), math.copysign(1.0, down)) == (
+            math.copysign(1.0, want_up),
+            math.copysign(1.0, want_down),
+        ), z
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, tetrahedron], ids=["torus", "tetrahedron"])
+def test_flip_matches_the_uncached_flip_at_extreme_labels(make):
+    rng = random.Random(71)
+    g = make()
+    for _ in range(300):
+        g = g.with_labels([rng.choice(_EXTREMES) for _ in range(g.n_edges)])
+        e = _flippable_edge(g, rng)
+        sigma, corners, rule, z = _reference_flip(g, e)
+        rec = flip(g, e)
+        assert (rec.after.sigma, rec.corners, rec.rule) == (sigma, corners, rule)
+        assert [x.hex() for x in rec.after.z] == [x.hex() for x in z]
+
+
+def test_finite_corners_whose_sum_overflows_still_flip():
+    g = once_punctured_torus((0.0, 1e308, 1e308))
+    rec = flip(g, 0)
+    assert [x.hex() for x in rec.after.z] == [x.hex() for x in _reference_flip(g, 0)[3]]
+    assert all(math.isfinite(x) for x in rec.after.z)
+
+
+def test_flip_record_keeps_its_frozen_dataclass_behaviour():
+    rng = random.Random(73)
+    for make, labels in ((once_punctured_torus, (0.3, -0.7, 1.1)), (tetrahedron, _typed_labels(rng, 6, "fraction"))):
+        g = make(labels)
+        rec = flip(g, 1)
+        built = FlipRecord(rec.edge, rec.corners, rec.before, rec.after, rec.rule)
+        assert rec == built and repr(rec) == repr(built)
+        assert vars(rec) == vars(built) and list(vars(rec)) == [f.name for f in dataclasses.fields(FlipRecord)]
+        assert dataclasses.replace(rec, rule="clock") == dataclasses.replace(built, rule="clock")
+        for name in ("edge", "after", "rule", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.edge
+        assert rec == built
 
 
 def _face_orbits(sigma):

@@ -24,7 +24,6 @@ from shearlab.geodesics import (
     mat_trace,
     next_darts,
     pair_traces,
-    path_inverse,
     path_matrix,
     product_traces,
     random_closed_path,
@@ -65,6 +64,11 @@ def test_validate_rejects():
 def test_validate_rejects_non_integer_darts():
     with pytest.raises(PathError, match="0.7"):
         validate_path(TORUS, [0.7, 5.2])
+
+
+def path_inverse(path) -> tuple:
+    """The reversed traversal: opposite darts in reverse order."""
+    return tuple(d ^ 1 for d in reversed(path))
 
 
 def test_path_inverse_and_simplicity():
@@ -176,14 +180,19 @@ def test_path_matrix_matches_generic_product():
 
 def _shift_merge_path_matrix(g, path):
     """The ring-operation compiler the packed kernel replaced: per dart, a shift of
-    each row and one signed merge, whose term order evaluate() sums in."""
+    each row and one signed merge, whose term order evaluate() sums in.
+
+    A shift by ``e^{s z_e/2}`` is the product with that monomial: it keeps the
+    term order, and its bound grows by ``|s|`` on a lower field, as the shift's did.
+    """
     path = validate_path(g, path)
     one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
     top, bottom = (one, zero), (zero, one)
     for k, d in enumerate(path):
         e = edge_of(d)
-        top = tuple(x.shift(e, -1) for x in top)
-        bottom = tuple(x.shift(e, 1) for x in bottom)
+        down, up = (ExpPoly.monomial([s if i == e else 0 for i in range(g.n_edges)]) for s in (-1, 1))
+        top = tuple(x * down for x in top)
+        bottom = tuple(x * up for x in bottom)
         if path[(k + 1) % len(path)] == next_darts(g, d)[0]:
             bottom = tuple(-x + y for x, y in zip(top, bottom))
         else:
