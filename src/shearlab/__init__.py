@@ -24,7 +24,7 @@ from .geodesics import (
     torus_casimir,
     turn_sequence,
 )
-from .hyperbolic import GeodesicArc, MoebiusMap, UhpPoint
+from .hyperbolic import MoebiusMap, UhpPoint
 from .quantum import QDilogParams, QGeodesic, phi_hbar, quantum_geodesic
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "FatGraph",
     "FatGraphError",
     "FlipRecord",
-    "GeodesicArc",
     "LaurentPoly",
     "MoebiusMap",
     "QDilogParams",

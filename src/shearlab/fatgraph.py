@@ -163,6 +163,9 @@ class FatGraph:
             return NotImplemented
         return self.sigma == other.sigma and self.z == other.z
 
+    def __hash__(self):
+        return hash((self.sigma, self.z))
+
     def __repr__(self):
         return f"FatGraph(sigma={list(self.sigma)}, z={list(self.z)})"
 

