@@ -118,6 +118,7 @@ class FatGraph:
             if type(d) is not int:
                 raise FatGraphError(f"sigma[{i}] = {short_repr(d)} is not an integer dart index")
         self._fill(sigma, z)
+        _table(sigma)  # refuses a sigma that is not a trivalent permutation
 
     def _fill(self, sigma, z):
         """Apply the label rule and the count checks, then set both (tuple) fields."""
@@ -171,10 +172,20 @@ class FatGraph:
 
     @staticmethod
     def _orbits(sigma):
-        """(vertex orbits, {face orbit: edge multiplicity vector}) of ``sigma``."""
+        """(vertex orbits, {face orbit: edge multiplicity vector}) of a trivalent permutation ``sigma``, or refused."""
+        n = len(sigma)
+        for d, s in enumerate(sigma):
+            if not 0 <= s < n:
+                raise FatGraphError(f"sigma[{d}] = {short_repr(s)} is not a dart index")
+        if len(set(sigma)) != n:  # the first dart hit other than once names the fault
+            d = next(d for d in range(n) if sigma.count(d) != 1)
+            raise FatGraphError(f"sigma is not a permutation: dart {d} has {sigma.count(d)} preimages")
         vertices = _walk(sigma)
-        faces = _walk([sigma[opposite(d)] for d in range(len(sigma))])
-        return vertices, {face: _multiplicity(face, len(sigma) // 2) for face in faces}
+        for orbit in vertices:
+            if len(orbit) != 3:
+                raise FatGraphError(f"vertex orbit {list(orbit)} has size {len(orbit)}, expected 3 (dart {orbit[0]})")
+        faces = _walk([sigma[opposite(d)] for d in range(n)])
+        return vertices, {face: _multiplicity(face, n // 2) for face in faces}
 
     def vertices(self):
         """Sigma-orbits, each listed anticlockwise from its smallest dart."""
@@ -187,21 +198,9 @@ class FatGraph:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> TopologyReport:
+        """The topology of this graph, which must have darts and be connected (construction checked the rest)."""
         n = self.n_darts
         sigma = self.sigma
-        hit = [0] * n
-        for d, s in enumerate(sigma):
-            if not 0 <= s < n:
-                raise FatGraphError(f"sigma[{d}] = {short_repr(s)} is not a dart index")
-            hit[s] += 1
-        for d, h in enumerate(hit):
-            if h != 1:
-                raise FatGraphError(f"sigma is not a permutation: dart {d} has {h} preimages")
-        for orbit in self.vertices():
-            if len(orbit) != 3:
-                raise FatGraphError(
-                    f"vertex orbit {list(orbit)} has size {len(orbit)}, expected 3 (dart {orbit[0]})"
-                )
         # a connected graph is one surface, so V - E + F = 2 - 2g fixes the genus
         if not n:
             raise FatGraphError("graph is not connected: it has no darts")

@@ -158,8 +158,7 @@ def transport_path(record: FlipRecord, path):
             raise PathError(f"cannot transport step {x} -> {y} across the flip")
     # rotate so the word starts at its smallest dart (canonical cyclic form)
     k = out.index(min(out))
-    out = tuple(out[k:] + out[:k])
-    return validate_path(after, out)
+    return tuple(out[k:] + out[:k])
 
 
 # -- graph equivalence --------------------------------------------------------

@@ -164,7 +164,7 @@ class MoebiusMap:
         a, b, c, d = (float(x) for x in self.entries())
         t = a + d
         disc = max(t * t - 4.0, 0.0)
-        if abs(c) <= _TOL:
+        if abs(self.c) <= (0 if self.exact else _TOL):  # the tolerance classify decided the kind with
             if kind == "parabolic":
                 return UhpPoint.infinity(), UhpPoint.infinity()
             return UhpPoint.infinity(), UhpPoint.boundary(b / (d - a))

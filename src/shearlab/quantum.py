@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -24,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
-from .fatgraph import FatGraph
+from .fatgraph import FatGraph, short_repr
 from .geodesics import float_report, geodesic_function, graph_simple, product_traces
 
 Q_HALF = LaurentPoly.rho_power(2)  # q^{1/2}
@@ -192,6 +193,24 @@ def _quadrature(h: float, decay: float, nodes: int) -> tuple:
     return arrays
 
 
+def _z_hbar(z, hbar) -> tuple:
+    """``(complex(z), float(hbar))`` for a finite complex ``z`` and a finite positive real ``hbar``, no bool."""
+    out = []
+    for name, x, kind, cast in (("hbar", hbar, numbers.Real, float), ("z", z, numbers.Complex, complex)):
+        if isinstance(x, bool) or not isinstance(x, kind):
+            raise QuantumError(f"{name} = {short_repr(x)} is not a {kind.__name__.lower()} number")
+        try:
+            out.append(cast(x))
+        except OverflowError:
+            raise QuantumError(f"{name} = {short_repr(x)} is beyond the float range") from None
+        if not cmath.isfinite(out[-1]):
+            raise QuantumError(f"{name} = {out[-1]} is not a finite number")
+    h, z = out
+    if h <= 0:
+        raise QuantumError("hbar must be positive")
+    return z, h
+
+
 def phi_hbar(z: complex, params: QDilogParams) -> complex:
     """Numerical Phi_hbar(z) on the contour Im p = delta = min(1, 1/hbar) / 2.
 
@@ -207,14 +226,7 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     hbar = 1 the two sinh factors are equal bit for bit, so every value is
     the one the uncached linspace/trapezoid quadrature gives.
     """
-    h = float(params.hbar)
-    z = complex(z)
-    if not math.isfinite(h):
-        raise QuantumError(f"hbar = {h} is not a finite number")
-    if not cmath.isfinite(z):
-        raise QuantumError(f"z = {z} is not a finite number")
-    if h <= 0:
-        raise QuantumError("hbar must be positive")
+    z, h = _z_hbar(z, params.hbar)
     decay = math.pi * (1.0 + h) - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")
@@ -229,8 +241,8 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
 
 def qdilog_check(kind: str, z: complex, hbar: float) -> dict:
     """Residual of one of the quantum dilogarithm identities."""
+    z, hbar = _z_hbar(z, hbar)
     params = QDilogParams(hbar=hbar)
-    z = complex(z)
     if kind == "difference":
         value = phi_hbar(z, params) - phi_hbar(-z, params)
         want, tol = z, 1e-8

@@ -394,3 +394,40 @@ def test_evaluate_refuses_a_wrong_length_before_building_its_plan():
     assert hasattr(f, "_plan")
     with pytest.raises(DimensionMismatch):
         f.evaluate([0.0] * 4)
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda e, q: q + e, ("QExpPoly", "ExpPoly")),
+        (lambda e, q: q - e, ("QExpPoly", "ExpPoly")),
+        (lambda e, q: q + 1, ("QExpPoly", "int")),
+        (lambda e, q: q - Fraction(1, 2), ("QExpPoly", "Fraction")),
+        (lambda e, q: qmul(q, e, OMEGA), ("QExpPoly", "ExpPoly")),
+        (lambda e, q: qmul(e, q, OMEGA), ("ExpPoly", "QExpPoly")),
+        (lambda e, q: qmul(e, e, OMEGA), ("ExpPoly", "ExpPoly")),
+        (lambda e, q: poisson_bracket(e, q, OMEGA), ("ExpPoly", "QExpPoly")),
+        (lambda e, q: poisson_bracket(q, q, OMEGA), ("QExpPoly", "QExpPoly")),
+        (lambda e, q: classical_limit_commutator(q, e, OMEGA), ("QExpPoly", "ExpPoly")),
+        (lambda e, q: classical_limit_commutator(e, q, OMEGA), ("ExpPoly", "QExpPoly")),
+    ],
+    ids=[
+        "q_add_e", "q_sub_e", "q_add_int", "q_sub_fraction", "qmul_q_e", "qmul_e_q", "qmul_e_e",
+        "bracket_e_q", "bracket_q_q", "limit_q_e", "limit_e_q",
+    ],
+)
+def test_mixed_ring_operands_raise_a_type_error_naming_both_classes(call, names):
+    e, q = ExpPoly.monomial((0, 0, 0)), QExpPoly.monomial((0, 0, 0))
+    with pytest.raises(TypeError) as exc:
+        call(e, q)
+    assert f"{names[0]} and {names[1]}" in str(exc.value)
+
+
+def test_exp_poly_keeps_laurent_and_scalar_operands():
+    f = ExpPoly.monomial((1, 0, 0), 2)
+    rho = LaurentPoly.rho_power(0, 3)
+    assert (f + 1) - 1 == f and 1 + f == f + 1 and (Fraction(1, 2) * f) * 2 == f
+    assert rho * rho == 9 and rho + 1 == 4 and rho - Fraction(1, 2) == Fraction(5, 2)
+    assert poisson_bracket(f, ExpPoly.monomial((0, 1, 0)), OMEGA) == ExpPoly.monomial((1, 1, 0), 1)
+    with pytest.raises(DimensionMismatch):
+        f + rho  # an ExpPoly operand of another dimension is still a dimension error

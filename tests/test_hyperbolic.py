@@ -275,3 +275,24 @@ def test_an_entry_too_large_for_a_float_map_is_refused(entries):
     with pytest.raises(HyperbolicError, match=r"too large for a float map") as info:
         MoebiusMap(*entries)
     assert len(str(info.value)) < 120  # the entry is shown through short_repr
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        (MoebiusMap(1, 0, Fraction(1, 10**13), 1), (0.0, 0.0)),
+        (MoebiusMap(2, 0, Fraction(1, 10**13), Fraction(1, 2)), (0.0, 1.5e13)),
+        (MoebiusMap(1, Fraction(1, 10**13), 0, 1), None),  # exactly upper triangular: fixes infinity
+    ],
+    ids=["parabolic", "hyperbolic", "triangular"],
+)
+def test_exact_fixed_points_with_a_tiny_c_are_fixed(m, want):
+    points = m.fixed_points()
+    if want is None:
+        assert points == (UhpPoint.infinity(), UhpPoint.infinity())
+        assert apply(m, UhpPoint.infinity()) == UhpPoint.infinity()
+        return
+    assert all(not p.at_infinity for p in points)
+    assert [p.x for p in points] == pytest.approx(want, rel=1e-12)
+    for p in points:
+        assert apply(m, p).x == pytest.approx(p.x, rel=1e-12, abs=TOL)

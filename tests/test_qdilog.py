@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shearlab import quantum
+from shearlab.fatgraph import short_repr
 from shearlab.quantum import QDilogParams, QuantumError, phi_hbar, qdilog_check
 
 
@@ -156,3 +158,54 @@ def test_cached_grid_arrays_are_read_only():
     for array in quantum._quadrature(0.5, 1.0, QDilogParams.nodes):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "z, hbar, message",
+    [
+        (0.5, 10**400, f"hbar = {short_repr(10**400)} is beyond the float range"),
+        (10**400, 0.5, f"z = {short_repr(10**400)} is beyond the float range"),
+        (0.5, Fraction(10**400, 3), f"hbar = {short_repr(Fraction(10**400, 3))} is beyond the float range"),
+        ("1+1j", 0.5, "z = '1+1j' is not a complex number"),
+        (0.5, "0.5", "hbar = '0.5' is not a real number"),
+        (0.5, True, "hbar = True is not a real number"),
+        (True, 0.5, "z = True is not a complex number"),
+        (0.5, 0.5 + 0j, "hbar = (0.5+0j) is not a real number"),
+        (0.5, np.bool_(True), "hbar = np.True_ is not a real number"),
+    ],
+    ids=[
+        "huge_hbar", "huge_z", "huge_fraction_hbar", "str_z", "str_hbar",
+        "bool_hbar", "bool_z", "complex_hbar", "np_bool",
+    ],
+)
+def test_z_and_hbar_types_are_checked_where_they_enter(z, hbar, message):
+    for call in (lambda: qdilog_check("difference", z, hbar), lambda: phi_hbar(z, QDilogParams(hbar=hbar))):
+        with pytest.raises(QuantumError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_numpy_and_exact_scalars_stay_accepted():
+    want = qdilog_check("difference", 0.5 + 0.25j, 0.5)
+    for z, hbar in ((np.complex128(0.5 + 0.25j), np.float64(0.5)), (0.5 + 0.25j, np.float32(0.5))):
+        assert qdilog_check("difference", z, hbar) == want
+    assert qdilog_check("difference", 1, 1) == qdilog_check("difference", 1.0, 1.0)
+    assert qdilog_check("difference", 1, 1)["hbar"] == 1.0
+    assert phi_hbar(np.float64(0.5), QDilogParams(hbar=1)) == phi_hbar(0.5, QDilogParams(hbar=1.0))
+
+
+@pytest.mark.parametrize(
+    "z, hbar, message",
+    [
+        (complex(math.inf, 0.0), 0.5, "z = (inf+0j) is not a finite number"),
+        (1.0, math.nan, "hbar = nan is not a finite number"),
+        (complex(math.inf, 0.0), math.nan, "hbar = nan is not a finite number"),
+        (complex(math.inf, 0.0), -1.0, "z = (inf+0j) is not a finite number"),
+        (1.0, 0.0, "hbar must be positive"),
+    ],
+)
+def test_non_finite_and_non_positive_messages_are_unchanged(z, hbar, message):
+    for call in (lambda: qdilog_check("difference", z, hbar), lambda: phi_hbar(z, QDilogParams(hbar=hbar))):
+        with pytest.raises(QuantumError) as exc:
+            call()
+        assert str(exc.value) == message
