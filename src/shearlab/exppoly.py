@@ -166,9 +166,9 @@ def _rho_split(flat: "ExpPoly"):
         yield k - (r << shift), r, c
 
 
-def _check(ring, f, g):
-    """Refuse operands that are not both ``ring`` elements (naming both classes), then a dimension mismatch."""
-    if not (isinstance(f, ring) and isinstance(g, ring)):
+def _check(f, g, ring=None):
+    """Refuse a dimension mismatch and, given a ``ring`` class, an operand of another class (naming both)."""
+    if ring is not None and not (isinstance(f, ring) and isinstance(g, ring)):
         raise TypeError(f"cannot combine {type(f).__name__} and {type(g).__name__} as {ring.__name__} operands")
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {g.dim} differ")
@@ -289,7 +289,7 @@ class ExpPoly:
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
             other = self._scalar(other)
-        _check(ExpPoly, self, other)
+        _check(self, other)
         terms = dict(self._packed)
         get = terms.get
         for k, c in other._packed.items():
@@ -310,7 +310,7 @@ class ExpPoly:
         """One merge pass; the terms keep the insertion order of ``self + (-other)``."""
         if not isinstance(other, ExpPoly):
             other = self._scalar(other)
-        _check(ExpPoly, self, other)
+        _check(self, other)
         terms = dict(self._packed)
         get = terms.get
         for k, c in other._packed.items():
@@ -329,7 +329,7 @@ class ExpPoly:
             c = _as_coefficient(other)
             terms = {k: _as_coefficient(a * c) for k, a in self._packed.items()} if c else {}
             return _new(type(self), self.dim, terms, self._b)
-        _check(ExpPoly, self, other)
+        _check(self, other)
         bound = _guard(self._b + other._b)
         terms = {}
         get = terms.get
@@ -419,7 +419,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     m^T omega n comes from the row rule ``_rows``, as in ``qmul``: the row
     m^T omega once per left term, dotted with each decoded right exponent vector.
     """
-    _check(ExpPoly, f, g)
+    _check(f, g, ExpPoly)
     rows = _rows(f, omega, f.dim)
     bound = _guard(f._b + g._b)
     terms = {}
@@ -536,14 +536,14 @@ class QExpPoly:
             return view
 
     def __add__(self, other):
-        _check(QExpPoly, self, other)
+        _check(self, other, QExpPoly)
         return QExpPoly._of(self.flat + other.flat)
 
     def __neg__(self):
         return QExpPoly._of(-self.flat)
 
     def __sub__(self, other):
-        _check(QExpPoly, self, other)
+        _check(self, other, QExpPoly)
         return QExpPoly._of(self.flat - other.flat)
 
     def scale(self, c) -> "QExpPoly":
@@ -602,7 +602,7 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     Rho is the top field, so the twist is one subtraction of ``(m^T omega n)
     * 2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
     """
-    _check(QExpPoly, f, g)
+    _check(f, g, QExpPoly)
     rows = _rows(f.flat, omega, f.dim)
     bound = _guard(f.flat._b + g.flat._b)
     shift = FIELD_BITS * f.dim
@@ -630,7 +630,7 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     rho = 1 specializations.  Each rho^r contributes -r/8, read off the top
     field of the commutator's keys in one pass.
     """
-    _check(QExpPoly, f, g)
+    _check(f, g, QExpPoly)
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
     comm = (qmul(f, g, omega) - qmul(g, f, omega)).flat

@@ -73,6 +73,14 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _boundary(num, den) -> UhpPoint:
+    """The boundary point num / den, divided exactly and rounded once to a float; infinity beyond the float range."""
+    try:
+        return UhpPoint.boundary(float(Fraction(num) / Fraction(den)))
+    except OverflowError:
+        return UhpPoint.infinity()
+
+
 def _float(x) -> float:
     """``float(x)`` for an entry of a float map; an exact entry too large for a float raises ``HyperbolicError``."""
     try:
@@ -155,24 +163,29 @@ class MoebiusMap:
         return "parabolic"
 
     def fixed_points(self):
-        """Boundary fixed points (z_minus, z_plus); parabolic maps repeat one."""
+        """Boundary fixed points (z_minus, z_plus) = ((a - d -+ root) / 2c); parabolic maps repeat one.
+
+        With s = a - d + sgn(a - d) root they are s / 2c and -2b / s (Vieta), so neither cancels.
+        Each point is divided exactly and rounded once; one beyond the float range is infinity.
+        """
         kind = self.classify()
         if kind == "elliptic":
             raise HyperbolicError("elliptic maps have no fixed points on the absolute")
         if kind == "identity":
             raise HyperbolicError("identity fixes every point")
-        a, b, c, d = (float(x) for x in self.entries())
-        t = a + d
-        disc = max(t * t - 4.0, 0.0)
-        if abs(self.c) <= (0 if self.exact else _TOL):  # the tolerance classify decided the kind with
+        a, b, c, d = self.entries()
+        if abs(c) <= (0 if self.exact else _TOL):  # the tolerance classify decided the kind with
             if kind == "parabolic":
                 return UhpPoint.infinity(), UhpPoint.infinity()
-            return UhpPoint.infinity(), UhpPoint.boundary(b / (d - a))
-        root = math.sqrt(disc)
-        return (
-            UhpPoint.boundary((a - d - root) / (2 * c)),
-            UhpPoint.boundary((a - d + root) / (2 * c)),
-        )
+            return UhpPoint.infinity(), _boundary(b, d - a)
+        if kind == "parabolic":
+            return (_boundary(a - d, 2 * c),) * 2
+        amd = float(a - d)
+        s = amd + math.copysign(math.sqrt(float(self.trace * self.trace - 4)), amd)
+        if s == 0:  # a == d, and the exact discriminant rounds to 0.0
+            raise HyperbolicError(f"the discriminant of {short_repr(self)} is below the float range")
+        far, near = _boundary(s, 2 * c), _boundary(-2 * b, s)
+        return (near, far) if s > 0 else (far, near)
 
     def translation_length(self) -> float:
         """Geodesic translation length l with |Tr| = 2 cosh(l/2)."""

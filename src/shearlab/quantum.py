@@ -193,22 +193,18 @@ def _quadrature(h: float, decay: float, nodes: int) -> tuple:
     return arrays
 
 
-def _z_hbar(z, hbar) -> tuple:
-    """``(complex(z), float(hbar))`` for a finite complex ``z`` and a finite positive real ``hbar``, no bool."""
-    out = []
-    for name, x, kind, cast in (("hbar", hbar, numbers.Real, float), ("z", z, numbers.Complex, complex)):
+def _number(name: str, x, kind, cast):
+    """``cast(x)`` for a finite ``kind`` number ``x`` that is not a bool, else a ``QuantumError`` naming it."""
+    if type(x) is not cast:  # a plain float hbar or complex z needs no class test and no conversion
         if isinstance(x, bool) or not isinstance(x, kind):
             raise QuantumError(f"{name} = {short_repr(x)} is not a {kind.__name__.lower()} number")
         try:
-            out.append(cast(x))
+            x = cast(x)
         except OverflowError:
             raise QuantumError(f"{name} = {short_repr(x)} is beyond the float range") from None
-        if not cmath.isfinite(out[-1]):
-            raise QuantumError(f"{name} = {out[-1]} is not a finite number")
-    h, z = out
-    if h <= 0:
-        raise QuantumError("hbar must be positive")
-    return z, h
+    if not cmath.isfinite(x):
+        raise QuantumError(f"{name} = {x} is not a finite number")
+    return x
 
 
 def phi_hbar(z: complex, params: QDilogParams) -> complex:
@@ -226,7 +222,10 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     hbar = 1 the two sinh factors are equal bit for bit, so every value is
     the one the uncached linspace/trapezoid quadrature gives.
     """
-    z, h = _z_hbar(z, params.hbar)
+    h = _number("hbar", params.hbar, numbers.Real, float)
+    z = _number("z", z, numbers.Complex, complex)
+    if h <= 0:
+        raise QuantumError("hbar must be positive")
     decay = math.pi * (1.0 + h) - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")
@@ -241,7 +240,8 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
 
 def qdilog_check(kind: str, z: complex, hbar: float) -> dict:
     """Residual of one of the quantum dilogarithm identities."""
-    z, hbar = _z_hbar(z, hbar)
+    hbar = _number("hbar", hbar, numbers.Real, float)  # phi_hbar refuses hbar <= 0
+    z = _number("z", z, numbers.Complex, complex)
     params = QDilogParams(hbar=hbar)
     if kind == "difference":
         value = phi_hbar(z, params) - phi_hbar(-z, params)

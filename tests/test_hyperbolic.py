@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -282,17 +283,42 @@ def test_an_entry_too_large_for_a_float_map_is_refused(entries):
     [
         (MoebiusMap(1, 0, Fraction(1, 10**13), 1), (0.0, 0.0)),
         (MoebiusMap(2, 0, Fraction(1, 10**13), Fraction(1, 2)), (0.0, 1.5e13)),
-        (MoebiusMap(1, Fraction(1, 10**13), 0, 1), None),  # exactly upper triangular: fixes infinity
+        (MoebiusMap(1, Fraction(1, 10**13), 0, 1), (math.inf, math.inf)),  # exactly upper triangular
+        (MoebiusMap(2, 1, Fraction(1, 10**20), Fraction(10**20 + 1, 2 * 10**20)), (-2 / 3, 1.5e20)),
+        (MoebiusMap(1, 0, Fraction(1, 10**400), 1), (0.0, 0.0)),
+        (MoebiusMap(2, 1, Fraction(1, 10**400), Fraction(10**400 + 1, 2 * 10**400)), (-2 / 3, math.inf)),
     ],
-    ids=["parabolic", "hyperbolic", "triangular"],
+    ids=["parabolic", "hyperbolic", "triangular", "hyperbolic_b", "parabolic_underflow", "hyperbolic_underflow"],
 )
 def test_exact_fixed_points_with_a_tiny_c_are_fixed(m, want):
+    # b != 0 is where a - d - root cancels; c = 10**-400 is 0.0 as a float,
+    # and a fixed point beyond the float range is infinity
     points = m.fixed_points()
-    if want is None:
-        assert points == (UhpPoint.infinity(), UhpPoint.infinity())
-        assert apply(m, UhpPoint.infinity()) == UhpPoint.infinity()
-        return
-    assert all(not p.at_infinity for p in points)
-    assert [p.x for p in points] == pytest.approx(want, rel=1e-12)
+    assert [math.inf if p.at_infinity else p.x for p in points] == pytest.approx(want, rel=1e-12)
     for p in points:
-        assert apply(m, p).x == pytest.approx(p.x, rel=1e-12, abs=TOL)
+        out = apply(m, p)
+        if p.at_infinity:
+            assert out.at_infinity or abs(out.x) > sys.float_info.max
+        else:
+            assert out.x == pytest.approx(p.x, rel=1e-12, abs=TOL)
+
+
+def test_fixed_points_are_fixed_with_a_tiny_exact_c():
+    rng = random.Random(31)
+    for _ in range(200):
+        a = Fraction(rng.randint(2, 50), rng.randint(1, 7))
+        b = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+        c = Fraction(rng.choice((1, -1)), 10 ** rng.randint(10, 30))
+        m = MoebiusMap(a, b, c, (1 + b * c) / a)
+        if m.classify() != "hyperbolic":
+            continue
+        for p in m.fixed_points():
+            assert apply(m, p).x == pytest.approx(p.x, rel=1e-9, abs=1e-12)
+
+
+def test_a_discriminant_below_the_float_range_is_refused():
+    eps = Fraction(1, 10**400)  # a = d = 1 + eps: trace 2 + 2 eps, discriminant 8 eps + 4 eps^2
+    m = MoebiusMap(1 + eps, 2 * eps + eps * eps, 1, 1 + eps)
+    assert m.classify() == "hyperbolic"
+    with pytest.raises(HyperbolicError, match="discriminant .* is below the float range"):
+        m.fixed_points()
