@@ -286,19 +286,23 @@ class ExpPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """``self + other`` (sign 1) or ``self - other`` (sign -1) in one pass; new keys follow in ``other``'s order."""
         if not isinstance(other, ExpPoly):
             other = self._scalar(other)
         _check(self, other)
         terms = dict(self._packed)
         get = terms.get
         for k, c in other._packed.items():
-            s = get(k, 0) + c
+            s = get(k, 0) + c if sign > 0 else get(k, 0) - c
             if s:
                 terms[k] = s
             else:
                 del terms[k]
         return _new(type(self), self.dim, terms, max(self._b, other._b))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -307,19 +311,8 @@ class ExpPoly:
         return _new(type(self), self.dim, {k: -c for k, c in self._packed.items()}, self._b)
 
     def __sub__(self, other):
-        """One merge pass; the terms keep the insertion order of ``self + (-other)``."""
-        if not isinstance(other, ExpPoly):
-            other = self._scalar(other)
-        _check(self, other)
-        terms = dict(self._packed)
-        get = terms.get
-        for k, c in other._packed.items():
-            s = get(k, 0) - c
-            if s:
-                terms[k] = s
-            else:
-                del terms[k]
-        return _new(type(self), self.dim, terms, max(self._b, other._b))
+        """The merge ``__add__`` makes, subtracting; the terms keep the order of ``self + (-other)``."""
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -2,8 +2,8 @@
 
 Matrices act by z -> (az+b)/(cz+d) with ad - bc = 1; (a,b,c,d) and its
 negative are the same map.  Entries may be exact rationals (ints/Fractions)
-or floats.  ``classify`` applies one rule to both: exact maps decide it with
-tolerance 0, float maps with tolerance 1e-12.
+or floats.  Every comparison (``classify``, ``==``, fixed points, ``apply``)
+uses one rule, ``_tol``: tolerance 0 for exact quantities, 1e-12 for floats.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _tol(x):
+    """The comparison tolerance of a quantity: 0 if it is exact (int or Fraction), 1e-12 if it is a float."""
+    return 0 if _is_exact(x) else _TOL
+
+
 def _boundary(num, den) -> UhpPoint:
     """The boundary point num / den, divided exactly and rounded once to a float; infinity beyond the float range."""
     try:
@@ -92,7 +97,7 @@ def _float(x) -> float:
 class MoebiusMap:
     """Real 2x2 determinant-one matrix modulo global sign."""
 
-    __slots__ = ("a", "b", "c", "d", "exact")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         exact = all(_is_exact(x) for x in (a, b, c, d))
@@ -118,7 +123,6 @@ class MoebiusMap:
                     a, b, c, d = -a, -b, -c, -d
                 break
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.exact = exact
 
     @property
     def trace(self):
@@ -131,7 +135,7 @@ class MoebiusMap:
         """Entry-wise, with the tolerance ``classify`` uses: 0 when both maps are exact, else 1e-12."""
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        tol = 0 if self.exact and other.exact else _TOL
+        tol = max(_tol(self.a), _tol(other.a))
         return all(abs(x - y) <= tol for x, y in zip(self.entries(), other.entries()))
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -151,7 +155,7 @@ class MoebiusMap:
     # -- classification ----------------------------------------------------
 
     def classify(self) -> str:
-        tol = 0 if self.exact else _TOL
+        tol = _tol(self.a)
         a, b, c, d = self.entries()
         if abs(b) <= tol and abs(c) <= tol and abs(a - d) <= tol:
             return "identity"
@@ -174,7 +178,7 @@ class MoebiusMap:
         if kind == "identity":
             raise HyperbolicError("identity fixes every point")
         a, b, c, d = self.entries()
-        if abs(c) <= (0 if self.exact else _TOL):  # the tolerance classify decided the kind with
+        if abs(c) <= _tol(c):
             if kind == "parabolic":
                 return UhpPoint.infinity(), UhpPoint.infinity()
             return UhpPoint.infinity(), _boundary(b, d - a)
@@ -197,18 +201,17 @@ class MoebiusMap:
 def apply(m: MoebiusMap, z: UhpPoint) -> UhpPoint:
     a, b, c, d = m.entries()
     if z.at_infinity:
-        if (c == 0) if m.exact else abs(float(c)) <= _TOL:
+        if abs(c) <= _tol(c):
             return UhpPoint.infinity()
         return UhpPoint.boundary(a / c)
     if z.is_interior:
         fa, fb, fc, fd = (float(x) for x in (a, b, c, d))
         w = (fa * z.as_complex() + fb) / (fc * z.as_complex() + fd)
         return UhpPoint.interior(w.real, w.imag)
-    x = z.x
-    den = c * x + d
-    if (den == 0) if (m.exact and _is_exact(x)) else abs(float(den)) <= _TOL:
+    den = c * z.x + d
+    if abs(den) <= _tol(den):
         return UhpPoint.infinity()
-    return UhpPoint.boundary((a * x + b) / den)
+    return UhpPoint.boundary((a * z.x + b) / den)
 
 
 def distance(z: UhpPoint, w: UhpPoint) -> float:

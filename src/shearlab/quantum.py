@@ -226,9 +226,12 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     z = _number("z", z, numbers.Complex, complex)
     if h <= 0:
         raise QuantumError("hbar must be positive")
-    decay = math.pi * (1.0 + h) - abs(z.imag)
+    edge = math.pi * (1.0 + h)
+    if not math.isfinite(edge):
+        raise QuantumError(f"hbar = {h} puts the strip edge pi(1+hbar) beyond the float range")
+    decay = edge - abs(z.imag)
     if decay <= 0:
-        raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {math.pi * (1 + h)}")
+        raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {edge}")
     gaps, neg_ip, den = _quadrature(h, decay, params.nodes)
     with np.errstate(all="ignore"):
         y = np.exp(neg_ip * z) / den

@@ -208,13 +208,23 @@ def test_check_has_no_graph_option(capsys):
 # -- golden output ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("suite", ["skein", "goldman", "qskein"])
-def test_check_output_matches_golden(capsys, suite):
+# each golden file's suffix and the CLI arguments that wrote it
+SEEDS = {"": (), ".seed7": ("--seed", "7", "--cases", "40")}
+
+
+def _golden_cases(*suites):
+    """(suite, suffix) at every seed; the default seed's test id is the bare suite name."""
+    cases = [pytest.param(suite, seed, id=suite + seed.replace(".", "-")) for suite in suites for seed in SEEDS]
+    return pytest.mark.parametrize("suite, seed", cases)
+
+
+@_golden_cases("skein", "goldman", "qskein")
+def test_check_output_matches_golden(capsys, suite, seed):
     # the exact suites only: float residuals may differ in the last digits
     # between libm builds
-    code, out, _ = _run(capsys, "check", suite)
+    code, out, _ = _run(capsys, "check", suite, *SEEDS[seed])
     assert code == 0
-    assert out.encode() == (GOLDEN / f"{suite}.json").read_bytes()
+    assert out.encode() == (GOLDEN / f"{suite}{seed}.json").read_bytes()
 
 
 def _assert_matches_up_to_floats(got, want, where="report"):
@@ -233,13 +243,13 @@ def _assert_matches_up_to_floats(got, want, where="report"):
         assert type(got) is type(want) and got == want, where
 
 
-@pytest.mark.parametrize("suite", ["casimir", "relations", "qdilog"])
-def test_float_check_output_matches_golden(capsys, suite):
+@_golden_cases("casimir", "relations", "qdilog")
+def test_float_check_output_matches_golden(capsys, suite, seed):
     # the float suites: every non-float field exactly, floats to 1e-9 relative,
     # which leaves room for last-digit differences between libm builds
-    code, out, _ = _run(capsys, "check", suite)
+    code, out, _ = _run(capsys, "check", suite, *SEEDS[seed])
     assert code == 0
-    _assert_matches_up_to_floats(json.loads(out), json.loads((GOLDEN / f"{suite}.json").read_text()))
+    _assert_matches_up_to_floats(json.loads(out), json.loads((GOLDEN / f"{suite}{seed}.json").read_text()))
 
 
 @pytest.mark.parametrize(
@@ -314,6 +324,20 @@ def test_qdilog_overflow_exits_two_with_one_named_error(capsys):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: phi_hbar overflowed at z = ")
     assert "hbar = 0.05" in err and "inside the strip edge" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--z", "1e308", "--hbar", "1e308", "--check", "quasi2"),
+        ("--z", "0", "--hbar", "1e308", "--check", "difference"),
+    ],
+    ids=["quasi2", "difference"],
+)
+def test_qdilog_strip_edge_beyond_the_float_range_names_hbar(capsys, argv):
+    code, out, err = _run(capsys, "qdilog", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: hbar = 1e+308 puts the strip edge pi(1+hbar) beyond the float range\n"
 
 
 def test_graph_validate_keeps_a_deeply_nested_label_error_short(tmp_path, capsys):

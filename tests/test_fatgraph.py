@@ -15,6 +15,8 @@ from shearlab.fatgraph import (
     tetrahedron,
 )
 
+from test_fatgraph_tables import _random_trivalent_sigma
+
 
 def test_dart_primitives():
     assert [opposite(d) for d in range(6)] == [1, 0, 3, 2, 5, 4]
@@ -144,13 +146,7 @@ def test_json_roundtrip(tmp_path):
 @given(st.randoms(use_true_random=False))
 def test_random_trivalent_graphs_validate(rnd):
     # build a random sigma from random 3-cycles over the 12 darts
-    darts = list(range(12))
-    rnd.shuffle(darts)
-    sigma = [0] * 12
-    for k in range(0, 12, 3):
-        a, b, c = darts[k : k + 3]
-        sigma[a], sigma[b], sigma[c] = b, c, a
-    g = FatGraph(sigma, (0,) * 6)
+    g = FatGraph(_random_trivalent_sigma(rnd, 4), (0,) * 6)
     try:
         rep = g.validate()
     except FatGraphError:
@@ -163,13 +159,7 @@ def test_random_trivalent_graphs_validate(rnd):
 @settings(max_examples=40)
 @given(st.randoms(use_true_random=False))
 def test_vertices_faces_partition_darts(rnd):
-    darts = list(range(12))
-    rnd.shuffle(darts)
-    sigma = [0] * 12
-    for k in range(0, 12, 3):
-        a, b, c = darts[k : k + 3]
-        sigma[a], sigma[b], sigma[c] = b, c, a
-    g = FatGraph(sigma, (0,) * 6)
+    g = FatGraph(_random_trivalent_sigma(rnd, 4), (0,) * 6)
     for orbits in (g.vertices(), g.faces()):
         flat = sorted(d for orbit in orbits for d in orbit)
         assert flat == list(range(12))
@@ -213,22 +203,11 @@ def _orbits(sigma, step):
     return out
 
 
-def _random_sigma(rnd, n):
-    """Random 3-cycles over n darts: a trivalent sigma, not always connected."""
-    darts = list(range(n))
-    rnd.shuffle(darts)
-    sigma = [0] * n
-    for i in range(0, n, 3):
-        a, b, c = darts[i : i + 3]
-        sigma[a], sigma[b], sigma[c] = b, c, a
-    return sigma
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_cached_orbits_match_a_fresh_walk(rnd):
     n = 6 * rnd.randint(1, 4)
-    sigma = _random_sigma(rnd, n)
+    sigma = _random_trivalent_sigma(rnd, n // 3)
     g = FatGraph(sigma, (0,) * (n // 2))
     for _ in range(2):  # a miss, then a hit
         assert g.vertices() == _orbits(sigma, lambda d: sigma[d])
@@ -253,7 +232,7 @@ def test_orbit_table_cache_is_bounded():
 
     rnd = random.Random(3)
     for _ in range(fatgraph._table.cache_info().maxsize + 40):
-        FatGraph(_random_sigma(rnd, 12), (0,) * 6).vertices()
+        FatGraph(_random_trivalent_sigma(rnd, 4), (0,) * 6).vertices()
     assert fatgraph._table.cache_info().currsize == fatgraph._table.cache_info().maxsize  # 296 distinct sigmas went in
     g = tetrahedron()
     assert g.faces() == _orbits(g.sigma, lambda d: g.sigma[opposite(d)])

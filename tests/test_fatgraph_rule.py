@@ -11,6 +11,8 @@ from shearlab.fatgraph import FatGraph, FatGraphError, once_punctured_torus
 from shearlab.flips import flip, transport_path
 from shearlab.geodesics import PathError, mat_det, path_matrix, random_closed_path, validate_path
 
+from test_fatgraph_tables import _close_triples
+
 
 @pytest.mark.parametrize(
     "sigma, message",
@@ -67,10 +69,7 @@ def test_relabelling_a_built_graph_does_not_walk_sigma_again(monkeypatch):
 
 def _three_cycles(order, extra):
     """Disjoint 3-cycles over ``order``, then each 3-cycle of ``extra`` composed after them."""
-    sigma = list(range(len(order)))
-    for k in range(0, len(order), 3):
-        a, b, c = order[k : k + 3]
-        sigma[a], sigma[b], sigma[c] = b, c, a
+    sigma = _close_triples(order)
     for a, b, c in extra:
         cycle = {a: b, b: c, c: a}
         sigma = [cycle.get(s, s) for s in sigma]

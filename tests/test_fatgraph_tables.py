@@ -9,14 +9,20 @@ from shearlab import fatgraph
 from shearlab.fatgraph import FatGraph, once_punctured_torus, tetrahedron
 
 
-def _random_trivalent_sigma(rng, n_vertices):
-    darts = list(range(3 * n_vertices))
-    rng.shuffle(darts)
-    sigma = [0] * len(darts)
-    for k in range(0, len(darts), 3):
-        a, b, c = darts[k : k + 3]
+def _close_triples(order):
+    """The trivalent sigma whose vertices are the consecutive triples (a, b, c) of ``order``: a -> b -> c -> a."""
+    sigma = [0] * len(order)
+    for k in range(0, len(order), 3):
+        a, b, c = order[k : k + 3]
         sigma[a], sigma[b], sigma[c] = b, c, a
     return sigma
+
+
+def _random_trivalent_sigma(rng, n_vertices):
+    """A random trivalent sigma on ``3 * n_vertices`` shuffled darts; not always connected."""
+    darts = list(range(3 * n_vertices))
+    rng.shuffle(darts)
+    return _close_triples(darts)
 
 
 def _labels(rng, n, kind):

@@ -104,6 +104,36 @@ def test_equality_uses_the_classify_tolerance():
     assert near == MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
 
+def _float_copy(m):
+    return MoebiusMap(*map(float, m.entries()))
+
+
+def test_exact_maps_and_their_float_copies_compare_by_one_rule():
+    # classify, ==, fixed points and both apply sites: tolerance 0 for exact quantities, 1e-12 for floats
+    oo, eps = UhpPoint.infinity(), Fraction(1, 10**13)
+    near = MoebiusMap(1, 0, eps, 1)
+    assert near.classify() == "parabolic" and _float_copy(near).classify() == "identity"
+    assert near.fixed_points() == (UhpPoint.boundary(0.0),) * 2
+    with pytest.raises(HyperbolicError, match="identity fixes every point"):
+        _float_copy(near).fixed_points()
+    assert apply(near, oo) == UhpPoint.boundary(10**13) and apply(_float_copy(near), oo).at_infinity
+
+    tiny_c = MoebiusMap(2, 0, eps, Fraction(1, 2))
+    assert tiny_c.fixed_points() == (UhpPoint.boundary(0.0), UhpPoint.boundary(1.5e13))
+    assert _float_copy(tiny_c).fixed_points() == (oo, UhpPoint.boundary(0.0))
+
+    pole = MoebiusMap(1, 0, 1, 1)  # sends -1 to infinity
+    x = apply(pole, UhpPoint.boundary(-1 + eps))
+    assert not x.at_infinity and x.x == -(10**13) + 1
+    assert apply(pole, UhpPoint.boundary(float(-1 + eps))).at_infinity
+    assert apply(_float_copy(pole), UhpPoint.boundary(-1 + eps)).at_infinity
+    assert apply(_float_copy(pole), UhpPoint.boundary(float(-1 + eps))).at_infinity
+
+    one = MoebiusMap(1, 0, 0, 1)
+    assert MoebiusMap(1, eps, 0, 1) != one
+    assert MoebiusMap(1.0, 1e-13, 0.0, 1.0) == one
+
+
 def test_translation_length():
     e = math.e
     assert abs(MoebiusMap(e, 0.0, 0.0, 1 / e).translation_length() - 2.0) <= TOL

@@ -5,6 +5,8 @@ import random
 from shearlab.fatgraph import FatGraph, FatGraphError
 from shearlab.geodesics import mat_trace, path_matrix, random_closed_path
 
+from test_fatgraph_tables import _random_trivalent_sigma
+
 
 def random_surfaces(rng, count):
     """``count`` seeded random connected trivalent fat graphs, each with its validation report.
@@ -14,12 +16,7 @@ def random_surfaces(rng, count):
     """
     found = 0
     while found < count:
-        darts = list(range(3 * rng.choice((2, 4, 6, 8))))
-        rng.shuffle(darts)
-        sigma = [0] * len(darts)
-        for k in range(0, len(darts), 3):
-            a, b, c = darts[k : k + 3]
-            sigma[a], sigma[b], sigma[c] = b, c, a
+        sigma = _random_trivalent_sigma(rng, rng.choice((2, 4, 6, 8)))
         g = FatGraph(sigma, (0,) * (len(sigma) // 2))
         try:
             rep = g.validate()

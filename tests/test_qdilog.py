@@ -106,6 +106,32 @@ def test_overflow_raises_a_named_error_without_warnings():
         phi_hbar(1j * math.pi, QDilogParams(hbar=0.05))
 
 
+@pytest.mark.parametrize("z", [0.0, 1e308 + 1j * math.pi, -2.5 - 1j])
+def test_a_strip_edge_beyond_the_float_range_names_hbar(z):
+    # pi(1 + hbar) overflows to inf for hbar = 1e308, though hbar itself is finite
+    with pytest.raises(QuantumError) as edge:
+        phi_hbar(z, QDilogParams(hbar=1e308))
+    assert str(edge.value) == "hbar = 1e+308 puts the strip edge pi(1+hbar) beyond the float range"
+
+
+def test_a_huge_hbar_with_a_finite_strip_edge_still_evaluates():
+    # 5e307 keeps pi(1 + hbar) finite, so the edge check lets it through to the quadrature
+    assert math.isfinite(math.pi * (1.0 + 5e307))
+    assert phi_hbar(0.0, QDilogParams(hbar=5e307)) == _reference_phi_hbar(0.0, 5e307)
+
+
+@pytest.mark.parametrize("kind", ["quasi2", "difference", "semiclassical"])
+def test_checks_at_a_huge_hbar_report_the_strip_edge(kind):
+    with pytest.raises(QuantumError, match=r"strip edge pi\(1\+hbar\) beyond the float range"):
+        qdilog_check(kind, 1e308 if kind == "quasi2" else 0.0, 1e308)
+
+
+def test_quasi1_at_a_huge_hbar_names_its_shifted_point():
+    # quasi1 shifts z by i pi hbar, which is not finite: the z check runs first
+    with pytest.raises(QuantumError, match=r"^z = .*infj is not a finite number$"):
+        qdilog_check("quasi1", 0.0, 1e308)
+
+
 def _reference_phi_hbar(z, hbar):
     """phi_hbar before its grid was cached: np.linspace, two np.sinh and np.trapezoid on every call."""
     h, z = float(hbar), complex(z)

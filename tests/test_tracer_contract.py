@@ -160,3 +160,22 @@ def test_flip_step_counts_repeat_with_warm_caches(tracing):
     assert passes[0]["exppoly.evaluate"]["calls"] == 2 * len(labels)
     assert cold["fatgraph.orbits"]["calls"] == 2  # a miss computes the torus's and the flipped sigma's table
     assert fatgraph.FatGraph.__dict__["_orbits"] is orbits
+
+
+def test_tracer_counts_the_phi_hbar_quadrature(tracing):
+    # the phi_hbar span reads QDilogParams.nodes from its params argument
+    original = quantum.phi_hbar
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        assert quantum.qdilog_check("difference", 0.3, 0.5)["equal"]
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    stats = tracer.snapshot()
+    assert quantum.QDilogParams.nodes == 4096
+    assert stats["quantum.phi_hbar"]["calls"] == 2  # phi_hbar(z) and phi_hbar(-z)
+    assert stats["quantum.phi_hbar"]["nodes"] == 2 * quantum.QDilogParams.nodes
+    assert stats["quantum.check"]["calls"] == 1
+    assert quantum.phi_hbar is original
