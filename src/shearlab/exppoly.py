@@ -42,7 +42,8 @@ the larger bound for a sum.  An operation whose bound would reach
 carry can never alias two exponent vectors.  The bound is
 conservative: cancellation never lowers it.  Rho, in the top field, needs no
 bound, so ``qmul`` guards only the flat product's exponents and not the twist
-``m^T omega n``.  ``coefficient`` of a vector outside the fields is 0.
+``m^T omega n``.  ``coefficient`` looks the vector up in the ``.terms``
+view, so a vector outside the fields is simply absent.
 
 Exponents are plain ints; a float or a bool raises ``TypeError``.  ``.terms``
 is a read-only view keyed by exponent tuples, decoded on first read and kept.
@@ -138,19 +139,21 @@ def _exponents(m, dim: int) -> tuple:
     return m
 
 
-def _rows(f: "ExpPoly", omega, dim: int):
-    """``(key(m), c, m^T omega)`` for each term ``c e^{m.z/2}`` of ``f``: the one pairing rule.
+def _rows(f: "ExpPoly", g: "ExpPoly", omega, dim: int):
+    """The one pairing rule: ``(key(m), c, m^T omega)`` per term of ``f``, ``(key(n), c, n)`` per term of ``g``.
 
+    ``m^T omega n`` is a row of the first dotted with a vector of the second.
     ``omega`` must be ``dim x dim``; a matrix of any other shape, ragged
     included, would silently drop or misread exponents.  Each row has
-    ``dim`` entries, so dotting it with an exponent vector of ``f.dim >= dim``
+    ``dim`` entries, so dotting it with an exponent vector of ``g.dim >= dim``
     fields reads only the first ``dim``: a quantum element's rho field drops out.
     """
     if len(omega) != dim or any(len(row) != dim for row in omega):
         raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
     columns = tuple(zip(*omega))
     terms = zip(f._packed, f._packed.values(), f.terms)
-    return ((k, c, [sum(map(mul, m, col)) for col in columns]) for k, c, m in terms)
+    rows = ((k, c, [sum(map(mul, m, col)) for col in columns]) for k, c, m in terms)
+    return rows, list(zip(g._packed, g._packed.values(), g.terms))
 
 
 def _rho_split(flat: "ExpPoly"):
@@ -258,16 +261,19 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, dim: int) -> "ExpPoly":
-        return cls(dim)
+        return cls.monomial((0,) * dim, 0)
 
     @classmethod
     def const(cls, dim: int, c) -> "ExpPoly":
-        return cls(dim, {(0,) * dim: c})
+        return cls.monomial((0,) * dim, c)
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "ExpPoly":
+        """``c e^{m.z/2}`` as a ``cls``, built by ``ExpPoly.__init__`` whatever ``cls.__init__`` takes."""
         m = tuple(m)
-        return cls(len(m), {m: c})
+        out = object.__new__(cls)
+        ExpPoly.__init__(out, len(m), {m: c})
+        return out
 
     def _scalar(self, c) -> "ExpPoly":
         """The constant ``c`` as an element of this type and dimension."""
@@ -356,11 +362,8 @@ class ExpPoly:
         return not self._packed
 
     def coefficient(self, m: Iterable[int]) -> int | Fraction:
-        """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent or out of range."""
-        m = _ints(m)
-        if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m[:-1]):
-            return 0
-        return self._packed.get(_pack(m), 0)
+        """Coefficient (``int | Fraction``) of e^{m.z/2}; 0 if absent."""
+        return self.terms.get(_ints(m), 0)
 
     def evaluate(self, z_values) -> float:
         """Substitute real label values and return the real value.
@@ -413,11 +416,10 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     m^T omega once per left term, dotted with each decoded right exponent vector.
     """
     _check(f, g, ExpPoly)
-    rows = _rows(f, omega, f.dim)
+    rows, right = _rows(f, g, omega, f.dim)
     bound = _guard(f._b + g._b)
     terms = {}
     get = terms.get
-    right = list(zip(g._packed, g._packed.values(), g.terms))
     for km, a, row in rows:
         for kn, b, n in right:
             k = sum(map(mul, row, n))
@@ -540,10 +542,8 @@ class QExpPoly:
         return QExpPoly._of(self.flat - other.flat)
 
     def scale(self, c) -> "QExpPoly":
-        if not isinstance(c, LaurentPoly):
-            c = LaurentPoly.const(c)
-        shift = FIELD_BITS * self.dim
-        return QExpPoly._of(self.flat * _new(ExpPoly, self.flat.dim, {r << shift: a for r, a in c._packed.items()}, 0))
+        """``self`` times the scalar ``c``, which ``__init__`` coerces to a ``LaurentPoly``."""
+        return QExpPoly._of(self.flat * QExpPoly.monomial((0,) * self.dim, c).flat)
 
     def __eq__(self, other):
         if not isinstance(other, QExpPoly):
@@ -557,12 +557,8 @@ class QExpPoly:
         return not any(r for _, r, _ in _rho_split(self.flat))
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
-        """The ``LaurentPoly`` coefficient of e^{m.Z/2}; 0 if absent or out of range."""
-        m = _ints(m)
-        if len(m) != self.dim or any(abs(x) >= EXPONENT_LIMIT for x in m):
-            return LaurentPoly()
-        key = _pack(m)
-        return _new(LaurentPoly, 1, {r: c for low, r, c in _rho_split(self.flat) if low == key}, 0)
+        """The ``LaurentPoly`` coefficient of e^{m.Z/2}; ``LaurentPoly()`` if absent."""
+        return self.terms.get(_ints(m), LaurentPoly())
 
     def at_rho_one(self) -> ExpPoly:
         sums = {}
@@ -596,12 +592,11 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     * 2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
     """
     _check(f, g, QExpPoly)
-    rows = _rows(f.flat, omega, f.dim)
+    rows, right = _rows(f.flat, g.flat, omega, f.dim)
     bound = _guard(f.flat._b + g.flat._b)
     shift = FIELD_BITS * f.dim
     terms = {}
     get = terms.get
-    right = list(zip(g.flat._packed, g.flat._packed.values(), g.flat.terms))
     for km, a, row in rows:
         for kn, b, n in right:
             key = km + kn

@@ -216,6 +216,8 @@ def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, sta
     """Seeded random closed path word (rejection sampling over random turn walks)."""
     if min_len < 2 or max_len < min_len:
         raise PathError("need 2 <= min_len <= max_len")
+    if start is not None and (type(start) is not int or not 0 <= start < g.n_darts):
+        raise PathError(f"start {short_repr(start)} is not a dart index of this graph")
     for _ in range(_MAX_TRIES):
         length = rng.randint(min_len, max_len)
         d0 = start if start is not None else rng.randrange(g.n_darts)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from .fatgraph import FatGraph, short_repr
-from .geodesics import float_report, geodesic_function, graph_simple, product_traces
+from .geodesics import float_report, geodesic_function, graph_simple, product_traces, validate_path
 
 Q_HALF = LaurentPoly.rho_power(2)  # q^{1/2}
 Q_MINUS_HALF = LaurentPoly.rho_power(-2)  # q^{-1/2}
@@ -43,14 +43,15 @@ class QGeodesic:
 
 
 def quantum_geodesic(g: FatGraph, path) -> QGeodesic:
-    """Weyl-ordered quantum trace of a graph-simple path."""
+    """Weyl-ordered quantum trace of a graph-simple path; the word is validated first."""
+    path = validate_path(g, path)
     if not graph_simple(path):
         raise QuantumError(
             "quantum ordering is constructed only for graph-simple paths; "
             "non-simple operators arise through product decompositions"
         )
     classical = geodesic_function(g, path)
-    return QGeodesic(tuple(path), QExpPoly.from_classical(classical))
+    return QGeodesic(path, QExpPoly.from_classical(classical))
 
 
 def qskein_decompose(g: FatGraph, A: QGeodesic, B: QGeodesic) -> tuple:
@@ -182,8 +183,7 @@ class QDilogParams:
 def _quadrature(h: float, decay: float, nodes: int) -> tuple:
     """Read-only (node gaps, -i p, sinh(pi p) sinh(pi p h)) of the phi_hbar grid for ``h`` and ``decay``."""
     p_max = 40.0 / decay
-    t = np.arange(0, nodes + 1) * ((p_max - -p_max) / nodes) + (-p_max)  # np.linspace, op for op
-    t[-1] = p_max
+    t = np.linspace(-p_max, p_max, nodes + 1)
     p = t + 1j * (0.5 * min(1.0, 1.0 / h))
     with np.errstate(all="ignore"):
         s = np.sinh(math.pi * p)
@@ -218,7 +218,7 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     depth decay = pi(1 + hbar) - |Im z|, and its sinh denominator depend on z
     only through decay, so ``_quadrature`` caches them per (hbar, decay,
     nodes): z and -z, and all real z at one hbar, share one grid.  The grid
-    repeats np.linspace's operations and the sum np.trapezoid's, and at
+    is np.linspace's, the sum repeats np.trapezoid's operations, and at
     hbar = 1 the two sinh factors are equal bit for bit, so every value is
     the one the uncached linspace/trapezoid quadrature gives.
     """

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,27 @@ def test_float_check_output_matches_golden(capsys, suite, seed):
     code, out, _ = _run(capsys, "check", suite, *SEEDS[seed])
     assert code == 0
     _assert_matches_up_to_floats(json.loads(out), json.loads((GOLDEN / f"{suite}{seed}.json").read_text()))
+
+
+# single commands, each with the exit code, stdout and stderr it must give
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+_FLOAT_LITERAL = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
+
+
+def _assert_same_text_up_to_floats(got, want):
+    """Byte-equal with every float literal masked; the floats themselves agree to 1e-9 relative."""
+    assert _FLOAT_LITERAL.sub("#", got) == _FLOAT_LITERAL.sub("#", want)
+    floats = [[float(x) for x in _FLOAT_LITERAL.findall(text)] for text in (got, want)]
+    assert floats[0] == pytest.approx(floats[1], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_single_command_matches_golden(capsys, name):
+    want = COMMANDS[name]
+    code, out, err = _run(capsys, *want["argv"].split())
+    assert code == want["code"]
+    _assert_same_text_up_to_floats(out, want["stdout"])
+    _assert_same_text_up_to_floats(err, want["stderr"])
 
 
 @pytest.mark.parametrize(

@@ -136,13 +136,35 @@ def _polys(dim):
     return st.dictionaries(st.tuples(*[_exponent] * dim), _coeff, max_size=6).map(lambda d: ExpPoly(dim, d))
 
 
+_laurents = st.dictionaries(st.integers(-6, 6), _coeff, max_size=3).map(LaurentPoly)
+
+
 def _qpolys(dim):
-    laurents = st.dictionaries(st.integers(-6, 6), _coeff, max_size=3).map(LaurentPoly)
-    return st.dictionaries(st.tuples(*[_exponent] * dim), laurents, max_size=4).map(lambda d: QExpPoly(dim, d))
+    return st.dictionaries(st.tuples(*[_exponent] * dim), _laurents, max_size=4).map(lambda d: QExpPoly(dim, d))
 
 
 def _same(poly, ref):
     assert list(poly.terms.items()) == list(ref.items())
+
+
+def _same_coefficients(poly, ref, zero):
+    """``coefficient`` reads ``ref.get(v, zero)`` at present, absent, wrong-length and out-of-field ``v``.
+
+    Exponents that are not plain ints raise ``TypeError``, though ``1.0``
+    and ``True`` hash like ``1``.
+    """
+    for m in list(ref) or [(0,) * poly.dim]:
+        probes = [m, m[:-1] + (m[-1] + 1,), m + (0,), m[:-1], m[:-1] + (m[-1] + 10**30,)]
+        if poly.dim > 1:
+            # the first packs to m's key; the second leaves the lowest field's range
+            probes += [(m[0] + 2**FIELD_BITS, m[1] - 1) + m[2:], (-EXPONENT_LIMIT,) + m[1:]]
+        for v in probes:
+            got, want = poly.coefficient(v), ref.get(v, zero)
+            # a LaurentPoly also compares equal to a scalar, so check which one came back
+            assert got == want and isinstance(got, LaurentPoly) == isinstance(zero, LaurentPoly)
+        for bad in ((float(m[0]),) + m[1:], m[:-1] + (True,)):
+            with pytest.raises(TypeError, match="is not an int"):
+                poly.coefficient(bad)
 
 
 def _same_value(poly, ref, rng):
@@ -170,6 +192,7 @@ def test_packed_ring_matches_the_tuple_ring(dim, data):
     for poly, ref in cases:
         _same(poly, ref)
         _same_value(poly, ref, rng)
+        _same_coefficients(poly, ref, 0)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -179,7 +202,25 @@ def test_packed_qmul_matches_the_tuple_qmul(dim, data):
     f, g = (data.draw(_qpolys(dim)) for _ in range(2))
     omega = _omega(dim)
     fg = qmul(f, g, omega)
-    _same(fg.flat, _ref_qmul(dict(f.flat.terms), dict(g.flat.terms), omega))
+    ref = _ref_qmul(dict(f.flat.terms), dict(g.flat.terms), omega)
+    _same(fg.flat, ref)
+    # coefficients of each exponent vector, then of each rho power
+    grouped = {}
+    for m, c in ref.items():
+        grouped.setdefault(m[:-1], {})[(m[-1],)] = c
+    laurents = {m: LaurentPoly({r: c for (r,), c in cs.items()}) for m, cs in grouped.items()}
+    _same_coefficients(fg, laurents, LaurentPoly())
+    for m, cs in grouped.items():
+        _same_coefficients(fg.coefficient(m), cs, 0)
+    # scaling by a LaurentPoly or a plain scalar is the flat product with rho^r e^{0.Z/2}
+    c, k = data.draw(_laurents), data.draw(_coeff)
+    _same(f.scale(c).flat, _ref_mul(dict(f.flat.terms), {(0,) * dim + m: a for m, a in c.terms.items()}))
+    _same(f.scale(k).flat, _ref_mul(dict(f.flat.terms), {(0,) * (dim + 1): k} if k else {}))
+    # the constructors LaurentPoly inherits from ExpPoly
+    n = data.draw(st.integers(-6, 6))
+    assert LaurentPoly.zero(1) == LaurentPoly() and type(LaurentPoly.zero(1)) is LaurentPoly
+    mono = LaurentPoly.monomial((n,), k)
+    assert mono == LaurentPoly.rho_power(n, k) and type(mono) is LaurentPoly
     # the rho field, read off the top of each key, against the tuple view
     star = {m[:-1] + (-m[-1],): c for m, c in fg.flat.terms.items()}
     _same(fg.star().flat, star)

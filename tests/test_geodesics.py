@@ -354,3 +354,9 @@ def test_random_closed_path_rejects_bad_bounds():
         random_closed_path(TORUS, random.Random(0), 1, 4)
     with pytest.raises(PathError):
         random_closed_path(TORUS, random.Random(0), 5, 3)
+
+
+@pytest.mark.parametrize("start", [99, 6, -1, "a", 0.0, True])
+def test_random_closed_path_refuses_a_start_that_is_not_a_dart(start):
+    with pytest.raises(PathError, match="start"):
+        random_closed_path(TORUS, random.Random(0), 2, 6, start=start)

@@ -2,7 +2,7 @@ import pytest
 
 from shearlab.exppoly import LaurentPoly, QExpPoly, qmul
 from shearlab.fatgraph import once_punctured_torus, tetrahedron
-from shearlab.geodesics import TORUS_A, TORUS_ABINV, TORUS_B, geodesic_function
+from shearlab.geodesics import TORUS_A, TORUS_ABINV, TORUS_B, PathError, geodesic_function
 from shearlab.quantum import (
     QuantumError,
     empty_loop_constant,
@@ -27,6 +27,12 @@ def test_quantum_geodesic_is_weyl():
 def test_quantum_geodesic_rejects_nonsimple():
     with pytest.raises(QuantumError):
         quantum_geodesic(TORUS, (0, 5, 0, 3))
+
+
+@pytest.mark.parametrize("path", [("a", "b"), (0.5, 1), (0, 99), (), (0, 1)])
+def test_quantum_geodesic_validates_its_word_before_the_simple_test(path):
+    with pytest.raises(PathError):
+        quantum_geodesic(TORUS, path)
 
 
 def test_uv_commutation():
