@@ -139,6 +139,15 @@ def _exponents(m, dim: int) -> tuple:
     return m
 
 
+def _dim(dim) -> int:
+    """``dim`` if it is a non-negative plain int; a float or bool is a ``TypeError``, a negative int a mismatch."""
+    if type(dim) is not int:
+        raise TypeError(f"dimension {short_repr(dim)} is not an int")
+    if dim < 0:
+        raise DimensionMismatch(f"dimension {dim} is negative")
+    return dim
+
+
 def _rows(f: "ExpPoly", g: "ExpPoly", omega, dim: int):
     """The one pairing rule: ``(key(m), c, m^T omega)`` per term of ``f``, ``(key(n), c, n)`` per term of ``g``.
 
@@ -245,7 +254,7 @@ class ExpPoly:
     __slots__ = ("dim", "_packed", "_b", "_view", "_plan")  # set on the first .terms and evaluate
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
-        self.dim = dim
+        self.dim = _dim(dim)
         clean = {}
         bound = 0
         for m, c in (terms or {}).items():
@@ -261,11 +270,11 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, dim: int) -> "ExpPoly":
-        return cls.monomial((0,) * dim, 0)
+        return cls.monomial((0,) * _dim(dim), 0)
 
     @classmethod
     def const(cls, dim: int, c) -> "ExpPoly":
-        return cls.monomial((0,) * dim, c)
+        return cls.monomial((0,) * _dim(dim), c)
 
     @classmethod
     def monomial(cls, m: Iterable[int], c=1) -> "ExpPoly":
@@ -483,6 +492,7 @@ class QExpPoly:
     __slots__ = ("flat", "_view")  # _view is set on the first read of .terms
 
     def __init__(self, dim: int, terms: Mapping[tuple, LaurentPoly] | None = None):
+        dim = _dim(dim)
         flat = {}
         for m, c in (terms or {}).items():
             m = _exponents(m, dim)

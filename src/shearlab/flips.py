@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, short_repr
-from .geodesics import PathError, float_report, next_darts, validate_path
+from .geodesics import PathError, _steps, float_report, next_darts
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
 
@@ -65,6 +65,15 @@ class FlipRecord:
     before: FatGraph
     after: FatGraph
     rule: str  # which dart assignment was used for the new gluing
+
+
+def _edge(g: FatGraph, e) -> int:
+    """The one edge rule: ``e`` must be a plain ``int`` (no ``bool``) edge index of ``g``, else ``FatGraphError``."""
+    if type(e) is not int:
+        raise FatGraphError(f"edge {short_repr(e)} is not an integer edge index")
+    if not 0 <= e < g.n_edges:
+        raise FatGraphError(f"edge {short_repr(e)} out of range")
+    return e
 
 
 @functools.lru_cache(maxsize=256)
@@ -103,13 +112,9 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
     law runs per call.  Only the four corner labels can leave the float
     range, so only they are checked; an overflow to inf goes through the
     ``FatGraph`` label rule and raises its ``FatGraphError``.
-    The edge must be a plain ``int`` (no ``bool``) in range.
+    The edge must pass the edge rule ``_edge``.
     """
-    if type(e) is not int:
-        raise FatGraphError(f"edge {short_repr(e)} is not an integer edge index")
-    if not 0 <= e < g.n_edges:
-        raise FatGraphError(f"edge {short_repr(e)} out of range")
-    plan = _flip_plan(g.sigma, e)
+    plan = _flip_plan(g.sigma, _edge(g, e))
     if plan is None:
         raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
     shape, corners, rule, (ep1, ep2, eq1, eq2) = plan
@@ -137,7 +142,8 @@ def transport_path(record: FlipRecord, path):
     a crossing.  Each kept consecutive pair is checked against the after
     graph, so the result is valid by construction.
     """
-    path = validate_path(record.before, path)
+    path = tuple(path)
+    _steps(record.before, path)
     e = record.edge
     after = record.after
     kept = [d for d in path if edge_of(d) != e]
@@ -208,10 +214,6 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
     return None
 
 
-def equivalent(g1: FatGraph, g2: FatGraph, edge_map=None) -> bool:
-    return find_isomorphism(g1, g2, edge_map) is not None
-
-
 # -- flip relations -----------------------------------------------------------
 
 
@@ -229,8 +231,8 @@ def _flip_word(g: FatGraph, edges) -> FatGraph:
 
 
 def _shared_vertices(g: FatGraph, e1: int, e2: int) -> int:
-    """How many vertices of g touch both e1 and e2."""
-    darts1, darts2 = {2 * e1, 2 * e1 + 1}, {2 * e2, 2 * e2 + 1}
+    """How many vertices of g touch both e1 and e2; both must pass the edge rule ``_edge`` first."""
+    darts1, darts2 = ({2 * e, 2 * e + 1} for e in (_edge(g, e1), _edge(g, e2)))
     return sum(1 for v in g.vertices() if darts1.intersection(v) and darts2.intersection(v))
 
 
@@ -256,7 +258,7 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     h = _flip_word(g, (e1, e2, e1, e2, e1))
     edge_map = list(range(g.n_edges))
     edge_map[e1], edge_map[e2] = e2, e1
-    ok = equivalent(g, h, edge_map)  # which already bounds this same label gap by _TOL
+    ok = find_isomorphism(g, h, edge_map) is not None  # which already bounds this same label gap by _TOL
     return float_report("pentagon", _label_gap(h, g, edge_map), _TOL, ok, edges=[e1, e2])
 
 

@@ -35,20 +35,26 @@ def next_darts(g: FatGraph, d: int):
     return t, g.sigma[t]
 
 
+def _dart(d) -> int:
+    """The one dart rule for words: a plain ``int`` (no ``bool``), else ``PathError``."""
+    if type(d) is not int:
+        raise PathError(f"dart {short_repr(d)} is not an integer dart index")
+    return d
+
+
 def _steps(g: FatGraph, path) -> list:
     """Validate a path word once: its ``(edge, left turn)`` step for each dart.
 
-    The turn after dart d is left if the next dart is sigma(opp(d)) and
-    right if it is sigma(sigma(opp(d))); any other next dart is refused.
+    The only word check: every word reader calls it once per word.  The turn
+    after dart d is left if the next dart is sigma(opp(d)) and right if it is
+    sigma(sigma(opp(d))); any other next dart is refused.
     """
     path = tuple(path)
     if not path:
         raise PathError("empty path word")
     n = g.n_darts
     for d in path:
-        if type(d) is not int:
-            raise PathError(f"dart {short_repr(d)} is not an integer dart index")
-        if not 0 <= d < n:
+        if not 0 <= _dart(d) < n:
             raise PathError(f"dart {short_repr(d)} out of range")
     steps = []
     for k, d in enumerate(path):
@@ -62,20 +68,14 @@ def _steps(g: FatGraph, path) -> list:
     return steps
 
 
-def validate_path(g: FatGraph, path) -> tuple:
-    path = tuple(path)
-    _steps(g, path)
-    return path
-
-
 def turn_sequence(g: FatGraph, path) -> list:
     """Turn after each dart: 'L' for sigma(opp(d)), 'R' for sigma^2(opp(d))."""
     return ["L" if left else "R" for _, left in _steps(g, path)]
 
 
 def graph_simple(path) -> bool:
-    """True iff no edge is traversed twice."""
-    edges = [edge_of(d) for d in path]
+    """True iff no edge is traversed twice; each dart must be a plain ``int``."""
+    edges = [edge_of(_dart(d)) for d in path]
     return len(edges) == len(set(edges))
 
 
@@ -214,6 +214,8 @@ _MAX_TRIES = 5000
 
 def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, start=None):
     """Seeded random closed path word (rejection sampling over random turn walks)."""
+    if type(min_len) is not int or type(max_len) is not int:
+        raise PathError(f"min_len {short_repr(min_len)} and max_len {short_repr(max_len)} must be plain ints")
     if min_len < 2 or max_len < min_len:
         raise PathError("need 2 <= min_len <= max_len")
     if start is not None and (type(start) is not int or not 0 <= start < g.n_darts):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from .fatgraph import FatGraph, short_repr
-from .geodesics import float_report, geodesic_function, graph_simple, product_traces, validate_path
+from .geodesics import float_report, geodesic_function, graph_simple, product_traces
 
 Q_HALF = LaurentPoly.rho_power(2)  # q^{1/2}
 Q_MINUS_HALF = LaurentPoly.rho_power(-2)  # q^{-1/2}
@@ -43,14 +43,14 @@ class QGeodesic:
 
 
 def quantum_geodesic(g: FatGraph, path) -> QGeodesic:
-    """Weyl-ordered quantum trace of a graph-simple path; the word is validated first."""
-    path = validate_path(g, path)
+    """Weyl-ordered quantum trace of a graph-simple path; compiling checks the word once, before the simple test."""
+    path = tuple(path)
+    classical = geodesic_function(g, path)
     if not graph_simple(path):
         raise QuantumError(
             "quantum ordering is constructed only for graph-simple paths; "
             "non-simple operators arise through product decompositions"
         )
-    classical = geodesic_function(g, path)
     return QGeodesic(path, QExpPoly.from_classical(classical))
 
 

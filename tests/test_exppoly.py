@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from operator import add, mul
 
@@ -178,23 +179,43 @@ def test_laurent_ring(a, b):
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         ExpPoly.monomial((1, 0)) + ExpPoly.monomial((1, 0, 0))
+    for make in (lambda: ExpPoly(-1), lambda: ExpPoly.zero(-1), lambda: ExpPoly.const(-1, 2), lambda: QExpPoly(-1)):
+        with pytest.raises(DimensionMismatch, match=r"^dimension -1 is negative$"):
+            make()
     with pytest.raises(DimensionMismatch):
         ExpPoly.monomial((1, 0, 0)).evaluate([0.0, 0.0])
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, named",
     [
-        lambda: ExpPoly(3, {(0.7, 1.9, True): 1}),
-        lambda: ExpPoly.monomial([2.5, 0, 0]),
-        lambda: QExpPoly.monomial([0.5, 1, 0]),
-        lambda: LaurentPoly({1.5: 2}),
-        lambda: QExpPoly(2, {(0, True): 1}),
+        (lambda: ExpPoly(3, {(0.7, 1.9, True): 1}), "exponent 0.7"),
+        (lambda: ExpPoly.monomial([2.5, 0, 0]), "exponent 2.5"),
+        (lambda: QExpPoly.monomial([0.5, 1, 0]), "exponent 0.5"),
+        (lambda: LaurentPoly({1.5: 2}), "exponent 1.5"),
+        (lambda: QExpPoly(2, {(0, True): 1}), "exponent True"),
+        # a dimension obeys the same rule where it enters the ring
+        (lambda: ExpPoly(2.5), "dimension 2.5"),
+        (lambda: ExpPoly(True), "dimension True"),
+        (lambda: ExpPoly.zero(2.5), "dimension 2.5"),
+        (lambda: ExpPoly.const(True, 1), "dimension True"),
+        (lambda: QExpPoly(2.5, {(0, 1): 1}), "dimension 2.5"),
     ],
-    ids=["ExpPoly", "ExpPoly.monomial", "QExpPoly.monomial", "LaurentPoly", "QExpPoly-bool"],
+    ids=[
+        "ExpPoly",
+        "ExpPoly.monomial",
+        "QExpPoly.monomial",
+        "LaurentPoly",
+        "QExpPoly-bool",
+        "ExpPoly-float-dim",
+        "ExpPoly-bool-dim",
+        "ExpPoly.zero-float-dim",
+        "ExpPoly.const-bool-dim",
+        "QExpPoly-float-dim",
+    ],
 )
-def test_a_non_int_exponent_is_refused_not_truncated(make):
-    with pytest.raises(TypeError, match=r"exponent (0\.7|2\.5|0\.5|1\.5|True) is not an int"):
+def test_a_non_int_exponent_is_refused_not_truncated(make, named):
+    with pytest.raises(TypeError, match=f"^{re.escape(named)} is not an int$"):
         make()
 
 

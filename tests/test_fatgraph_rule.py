@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from shearlab import fatgraph
 from shearlab.fatgraph import FatGraph, FatGraphError, once_punctured_torus
 from shearlab.flips import flip, transport_path
-from shearlab.geodesics import PathError, mat_det, path_matrix, random_closed_path, validate_path
+from shearlab.geodesics import PathError, mat_det, path_matrix, random_closed_path, turn_sequence
 
 from test_fatgraph_tables import _close_triples
 
@@ -117,4 +117,4 @@ def test_every_constructed_graph_is_a_trivalent_ribbon_graph(sigma, seed):
             moved = transport_path(record, path)
         except PathError:  # the word runs only along the flipped edge
             continue
-        assert validate_path(record.after, moved) == moved
+        assert len(turn_sequence(record.after, moved)) == len(moved)

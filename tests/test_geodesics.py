@@ -1,11 +1,13 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shearlab import exppoly
+from shearlab import exppoly, flips, geodesics, quantum
 from shearlab.exppoly import EXPONENT_LIMIT, ExponentOverflow, ExpPoly
 from shearlab.fatgraph import edge_of, once_punctured_torus, tetrahedron
 from shearlab.geodesics import (
@@ -32,7 +34,6 @@ from shearlab.geodesics import (
     skein_check,
     torus_casimir,
     turn_sequence,
-    validate_path,
 )
 from test_positivity import random_surfaces
 
@@ -44,7 +45,6 @@ TET = tetrahedron()
 
 
 def test_validate_and_turns():
-    assert validate_path(TORUS, TORUS_A) == (0, 5)
     assert turn_sequence(TORUS, TORUS_A) == ["R", "L"]
     assert turn_sequence(TORUS, TORUS_B) == ["L", "R"]
     assert turn_sequence(TORUS, TORUS_HOLE) == ["L"] * 6
@@ -52,18 +52,50 @@ def test_validate_and_turns():
 
 def test_validate_rejects():
     with pytest.raises(PathError):
-        validate_path(TORUS, ())
+        turn_sequence(TORUS, ())
     with pytest.raises(PathError):
-        validate_path(TORUS, (0, 1))  # backtracking
+        turn_sequence(TORUS, (0, 1))  # backtracking
     with pytest.raises(PathError):
-        validate_path(TORUS, (0, 9))  # out of range
+        path_matrix(TORUS, (0, 9))  # out of range
     with pytest.raises(PathError):
-        validate_path(TORUS, (0, 2))  # not joined at a vertex
+        path_matrix(TORUS, (0, 2))  # not joined at a vertex
 
 
 def test_validate_rejects_non_integer_darts():
     with pytest.raises(PathError, match="0.7"):
-        validate_path(TORUS, [0.7, 5.2])
+        turn_sequence(TORUS, [0.7, 5.2])
+    # graph_simple reads the same dart rule: no bare TypeError, no bool read as dart 1
+    for word, named in (([0.7, 5.2], "0.7"), (("a", "b"), "'a'"), ((True, 0), "True")):
+        with pytest.raises(PathError, match=f"^dart {re.escape(named)} is not an integer dart index$"):
+            graph_simple(word)
+
+
+def test_each_word_reader_checks_each_word_once(monkeypatch):
+    # _steps is the one word check: count it in every shearlab module that binds it
+    checked = []
+    original = geodesics._steps
+
+    def counted(g, path):
+        checked.append(path)
+        return original(g, path)
+
+    bound = [m for name, m in sys.modules.items() if name.startswith("shearlab") and vars(m).get("_steps") is original]
+    assert geodesics in bound
+    for module in bound:
+        monkeypatch.setattr(module, "_steps", counted)
+    record = flips.flip(TORUS, 1)
+    readers = {
+        "path_matrix": (lambda: path_matrix(TORUS, TORUS_A), 1),
+        "geodesic_function": (lambda: geodesic_function(TORUS, TORUS_A), 1),
+        "turn_sequence": (lambda: turn_sequence(TORUS, TORUS_A), 1),
+        "pair_traces": (lambda: pair_traces(TORUS, TORUS_A, TORUS_B), 2),
+        "quantum_geodesic": (lambda: quantum.quantum_geodesic(TORUS, TORUS_A), 1),
+        "transport_path": (lambda: flips.transport_path(record, TORUS_A), 1),
+    }
+    for name, (read, words) in readers.items():
+        checked.clear()
+        read()
+        assert len(checked) == words, name
 
 
 def path_inverse(path) -> tuple:
@@ -73,7 +105,7 @@ def path_inverse(path) -> tuple:
 
 def test_path_inverse_and_simplicity():
     assert path_inverse(TORUS_A) == (4, 1)
-    validate_path(TORUS, path_inverse(TORUS_A))
+    assert turn_sequence(TORUS, path_inverse(TORUS_A)) == ["L", "R"]
     assert graph_simple(TORUS_A) and graph_simple(TORUS_B)
     assert not graph_simple(TORUS_HOLE)  # the hole word uses every edge twice
     assert not graph_simple((0, 5, 0, 3))
@@ -185,7 +217,8 @@ def _shift_merge_path_matrix(g, path):
     A shift by ``e^{s z_e/2}`` is the product with that monomial: it keeps the
     term order, and its bound grows by ``|s|`` on a lower field, as the shift's did.
     """
-    path = validate_path(g, path)
+    path = tuple(path)
+    turn_sequence(g, path)  # refuses a bad word, as path_matrix does
     one, zero = ExpPoly.const(g.n_edges, 1), ExpPoly.zero(g.n_edges)
     top, bottom = (one, zero), (zero, one)
     for k, d in enumerate(path):
@@ -346,7 +379,7 @@ def test_random_closed_path_properties():
         for _ in range(50):
             p = random_closed_path(g, rng, 2, 8)
             assert 2 <= len(p) <= 8
-            validate_path(g, p)
+            assert len(turn_sequence(g, p)) == len(p)
 
 
 def test_random_closed_path_rejects_bad_bounds():
@@ -354,6 +387,9 @@ def test_random_closed_path_rejects_bad_bounds():
         random_closed_path(TORUS, random.Random(0), 1, 4)
     with pytest.raises(PathError):
         random_closed_path(TORUS, random.Random(0), 5, 3)
+    for bounds, named in (((2.5, 6), "min_len 2.5 and max_len 6"), ((2, "6"), "min_len 2 and max_len '6'")):
+        with pytest.raises(PathError, match=f"^{named} must be plain ints$"):
+            random_closed_path(TORUS, random.Random(0), *bounds)
 
 
 @pytest.mark.parametrize("start", [99, 6, -1, "a", 0.0, True])
