@@ -14,9 +14,13 @@ matrix ``omega``:
     {e^{m.z/2}, e^{n.z/2}} = (1/4) (m^T omega n) e^{(m+n).z/2}
     e^{m.Z/2} o e^{n.Z/2}  = rho^{-(m^T omega n)} e^{(m+n).Z/2}
 
-Both read ``m^T omega n`` from one row rule, ``_rows``: the row ``m^T
-omega`` is formed once per left term and dotted with each right exponent
-vector; in ``qmul`` the row's width stops the dot product before rho.
+Both read ``m^T omega n`` from one pairing rule, ``_pairings``: over all
+term pairs it is one integer matrix product ``K = M omega N^T`` of the
+exponent matrices ``M`` and ``N``, in int64 when a bound proves it cannot
+overflow and in numpy's exact object dtype otherwise.  ``omega`` must be a
+``dim x dim`` table of integers (numpy ints pass; a bool, float or
+``Fraction`` entry raises ``TypeError``).  ``M`` and ``N`` take the first
+``dim`` fields of each vector, so in ``qmul`` rho never enters.
 
 Keeping exponents in half-units makes every identity exact over Q and
 Z[rho, rho^-1].
@@ -53,18 +57,25 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 from math import exp
+from numbers import Integral
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable
+
+import numpy as np
 
 from .fatgraph import short_repr
 
 FIELD_BITS = 16  # each lower field decodes as a little-endian int16 ("h") in _unpacker
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 _FLOAT = frozenset((float,))
+_INT = frozenset((int,))
+_INT64 = 1 << 63
+_ROWS = (list, tuple, np.ndarray, Sequence)  # what omega and each of its rows may be; the common types first
 
 
 def _as_coefficient(c) -> int | Fraction:
@@ -148,21 +159,52 @@ def _dim(dim) -> int:
     return dim
 
 
-def _rows(f: "ExpPoly", g: "ExpPoly", omega, dim: int):
-    """The one pairing rule: ``(key(m), c, m^T omega)`` per term of ``f``, ``(key(n), c, n)`` per term of ``g``.
+def _omega(omega, dim: int):
+    """The entries of ``omega``, row by row, as ints, and the largest ``|entry|`` (at least 1).
 
-    ``m^T omega n`` is a row of the first dotted with a vector of the second.
-    ``omega`` must be ``dim x dim``; a matrix of any other shape, ragged
-    included, would silently drop or misread exponents.  Each row has
-    ``dim`` entries, so dotting it with an exponent vector of ``g.dim >= dim``
-    fields reads only the first ``dim``: a quantum element's rho field drops out.
+    ``omega`` and its rows must be sequences of length ``dim``, or it would
+    drop or misread exponents.  An entry must be ``numbers.Integral`` but not
+    a ``bool``: numpy ints pass, a float or ``Fraction`` is refused.
     """
-    if len(omega) != dim or any(len(row) != dim for row in omega):
+    rows = isinstance(omega, _ROWS) and len(omega) == dim and all(map(isinstance, omega, repeat(_ROWS)))
+    if not (rows and {dim}.issuperset(map(len, omega))):
         raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
-    columns = tuple(zip(*omega))
-    terms = zip(f._packed, f._packed.values(), f.terms)
-    rows = ((k, c, [sum(map(mul, m, col)) for col in columns]) for k, c, m in terms)
-    return rows, list(zip(g._packed, g._packed.values(), g.terms))
+    entries = list(chain.from_iterable(omega))
+    if not _INT.issuperset(map(type, entries)):
+        for x in entries:
+            if not isinstance(x, Integral) or isinstance(x, bool):
+                raise TypeError(f"omega entry {short_repr(x)} is not an int")
+        entries = list(map(int, entries))
+    return entries, max(1, max(map(abs, entries), default=0))
+
+
+def _fields(poly: "ExpPoly", dim: int):
+    """The first ``dim`` fields of each exponent vector, and a bound on their ``|entry|`` (at least 1).
+
+    ``poly._b`` bounds the lower fields; the unbounded top field, if among them, is read.
+    """
+    rows = [m[:dim] for m in poly.terms]
+    bound = poly._b
+    if dim and dim == poly.dim:
+        bound = max(bound, max((abs(m[-1]) for m in rows), default=0))
+    return rows, max(1, bound)
+
+
+def _pairings(f: "ExpPoly", g: "ExpPoly", omega, dim: int) -> list:
+    """The one pairing rule: ``K[s][t] = m_s^T omega n_t`` for the ``s``-th term of ``f`` and the ``t``-th of ``g``.
+
+    ``K = M omega N^T`` over the exponent matrices' first ``dim`` columns, so
+    a quantum element's rho never enters.  It runs in int64 when
+    ``dim**2 * max|M| * max|omega| * max|N| < 2**63`` (each maximum at least
+    1), which bounds every entry of the factors, of ``M omega`` and of ``K``;
+    past that, int64 would wrap silently, so it runs in numpy's exact object
+    dtype.  The rows come back as lists of ints, in the terms' order.
+    """
+    entries, w = _omega(omega, dim)
+    (M, a), (N, b) = _fields(f, dim), _fields(g, dim)
+    dtype = np.int64 if dim * dim * a * w * b < _INT64 else object
+    K = np.array(M, dtype).reshape(len(M), dim) @ np.array(entries, dtype).reshape(dim, dim)
+    return (K @ np.array(N, dtype).reshape(len(N), dim).T).tolist()
 
 
 def _rho_split(flat: "ExpPoly"):
@@ -421,17 +463,20 @@ class ExpPoly:
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
 
-    m^T omega n comes from the row rule ``_rows``, as in ``qmul``: the row
-    m^T omega once per left term, dotted with each decoded right exponent vector.
+    m^T omega n comes from the pairing rule ``_pairings``, as in ``qmul``: one
+    matrix product ``K = M omega N^T``, in int64 when ``dim**2 * max|M| *
+    max|omega| * max|N| < 2**63`` and exact otherwise, so a top-field exponent
+    of any size pairs exactly.  ``omega`` must be a ``dim x dim`` table of
+    integers; a bool, float or ``Fraction`` entry raises ``TypeError``.
     """
     _check(f, g, ExpPoly)
-    rows, right = _rows(f, g, omega, f.dim)
+    pairings = _pairings(f, g, omega, f.dim)
     bound = _guard(f._b + g._b)
+    right = list(g._packed.items())
     terms = {}
     get = terms.get
-    for km, a, row in rows:
-        for kn, b, n in right:
-            k = sum(map(mul, row, n))
+    for (km, a), ks in zip(f._packed.items(), pairings):
+        for (kn, b), k in zip(right, ks):
             if not k:
                 continue
             key = km + kn
@@ -454,6 +499,14 @@ class LaurentPoly(ExpPoly):
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         super().__init__(1, {(n,): c for n, c in (coeffs or {}).items()})
+
+    @classmethod
+    def monomial(cls, m: Iterable[int], c=1) -> "LaurentPoly":
+        """``c rho^n`` for ``m = (n,)``; ``zero`` builds through it, so both refuse any dimension but 1."""
+        m = tuple(m)
+        if len(m) != 1:
+            raise DimensionMismatch(f"a LaurentPoly has dimension 1, not {len(m)}")
+        return super().monomial(m, c)
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -597,20 +650,24 @@ class QExpPoly:
 def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n.
 
-    m^T omega n comes from the row rule ``_rows``, as in ``poisson_bracket``.
-    Rho is the top field, so the twist is one subtraction of ``(m^T omega n)
-    * 2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
+    m^T omega n comes from the pairing rule ``_pairings``, as in
+    ``poisson_bracket``: one matrix product over the first ``dim`` fields, so
+    rho never enters it, in int64 below the bound ``dim**2 * max|M| *
+    max|omega| * max|N| < 2**63`` and exact past it.  ``omega`` must be a
+    ``dim x dim`` table of integers.  Rho is the top field, so the twist is one
+    subtraction of ``(m^T omega n) * 2**(FIELD_BITS * dim)`` from the key; the
+    bound is the flat product's.
     """
     _check(f, g, QExpPoly)
-    rows, right = _rows(f.flat, g.flat, omega, f.dim)
+    pairings = _pairings(f.flat, g.flat, omega, f.dim)
     bound = _guard(f.flat._b + g.flat._b)
     shift = FIELD_BITS * f.dim
+    right = list(g.flat._packed.items())
     terms = {}
     get = terms.get
-    for km, a, row in rows:
-        for kn, b, n in right:
+    for (km, a), ks in zip(f.flat._packed.items(), pairings):
+        for (kn, b), k in zip(right, ks):
             key = km + kn
-            k = sum(map(mul, row, n))
             if k:
                 key -= k << shift
             s = get(key, 0) + a * b

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from operator import add, mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,21 @@ def test_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
+    "make, dim",
+    [
+        (lambda: LaurentPoly.zero(2), 2),
+        (lambda: LaurentPoly.zero(0), 0),
+        (lambda: LaurentPoly.monomial((1, 2)), 2),
+        (lambda: LaurentPoly.monomial(()), 0),
+    ],
+    ids=["zero-2", "zero-0", "monomial-2", "monomial-0"],
+)
+def test_laurent_constructors_refuse_any_dimension_but_one(make, dim):
+    with pytest.raises(DimensionMismatch, match=f"^a LaurentPoly has dimension 1, not {dim}$"):
+        make()
+
+
+@pytest.mark.parametrize(
     "make, named",
     [
         (lambda: ExpPoly(3, {(0.7, 1.9, True): 1}), "exponent 0.7"),
@@ -219,22 +235,52 @@ def test_a_non_int_exponent_is_refused_not_truncated(make, named):
         make()
 
 
-def test_an_omega_of_the_wrong_size_is_refused():
+def _tetrahedron_operands():
     g = tetrahedron()
     rng = random.Random(7)
     p, q = (geodesic_function(g, random_closed_path(g, rng, 2, 8)) for _ in range(2))
+    return g.omega_matrix(), (p, q), (QExpPoly.from_classical(p), QExpPoly.from_classical(q))
+
+
+def _with_row(omega, i, row):
+    out = [list(r) for r in omega]
+    out[i] = row
+    return out
+
+
+def test_an_omega_of_the_wrong_size_is_refused():
+    omega, (p, q), (a, b) = _tetrahedron_operands()
     torus_omega = once_punctured_torus().omega_matrix()
-    a, b = QExpPoly.from_classical(p), QExpPoly.from_classical(q)
-    ragged = [list(row) for row in g.omega_matrix()]
-    ragged[2].pop()
-    for omega in (torus_omega, [[0] * 8 for _ in range(8)], ragged):
+    ragged = _with_row(omega, 2, omega[2][:-1])
+    # a table or row that is not a sequence has no size to check
+    not_rows = [_with_row(omega, 2, row) for row in (5, None, set(range(6)), iter(range(6)))] + [5, set()]
+    for bad in (torus_omega, [[0] * 8 for _ in range(8)], ragged, *not_rows):
         with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
-            poisson_bracket(p, q, omega)
+            poisson_bracket(p, q, bad)
         with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
-            qmul(a, b, omega)
+            qmul(a, b, bad)
         with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
-            classical_limit_commutator(a, b, omega)
-    assert poisson_bracket(p, q, g.omega_matrix()) == classical_limit_commutator(a, b, g.omega_matrix())
+            classical_limit_commutator(a, b, bad)
+    assert poisson_bracket(p, q, omega) == classical_limit_commutator(a, b, omega)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, True, np.float64(1.0)], ids=["Fraction", "float", "bool", "numpy"])
+def test_an_omega_entry_that_is_not_an_int_is_refused(bad):
+    omega, (p, q), (a, b) = _tetrahedron_operands()
+    omega = _with_row(omega, 0, [bad] + omega[0][1:])
+    for call in (poisson_bracket, qmul, classical_limit_commutator):
+        x, y = (p, q) if call is poisson_bracket else (a, b)
+        with pytest.raises(TypeError, match=f"^omega entry {re.escape(repr(bad))} is not an int$"):
+            call(x, y, omega)
+
+
+def test_an_omega_of_numpy_ints_pairs_like_plain_ints():
+    omega, (p, q), (a, b) = _tetrahedron_operands()
+    for same in (np.array(omega), [[np.int64(x) for x in row] for row in omega], tuple(map(tuple, omega))):
+        assert list(poisson_bracket(p, q, same).terms.items()) == list(poisson_bracket(p, q, omega).terms.items())
+        assert list(qmul(a, b, same).flat.terms.items()) == list(qmul(a, b, omega).flat.terms.items())
+        limit = classical_limit_commutator(a, b, same)
+        assert list(limit.terms.items()) == list(classical_limit_commutator(a, b, omega).terms.items())
 
 
 def test_evaluate():

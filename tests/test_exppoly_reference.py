@@ -366,3 +366,94 @@ def test_both_terms_views_refuse_item_assignment():
     with pytest.raises(TypeError):
         q.terms[(1, 0, 0)] = LaurentPoly.const(1)
     assert f.terms == {(1, 0, 0): 2} and q.terms == {(1, 0, 0): LaurentPoly.const(2)}
+
+
+# -- pairings past the int64 bound -------------------------------------------------------
+
+
+def _ref_limit(x, y, omega):
+    """The classical limit from the reference qmul: -r/8 per rho^r, grouped by exponent vector."""
+    sums = {}
+    for m, c in _ref_sub(_ref_qmul(x, y, omega), _ref_qmul(y, x, omega)).items():
+        sums[m[:-1]] = sums.get(m[:-1], 0) - m[-1] * c
+    return {m: s // 8 if not s % 8 else Fraction(s, 8) for m, s in sums.items() if s}
+
+
+def _full_omega(dim):
+    """A table with no zero pattern, so the top fields of both operands pair with each other."""
+    rng = random.Random(100 + dim)
+    return [[rng.choice((-2, -1, 1, 2)) for _ in range(dim)] for _ in range(dim)]
+
+
+def _lifted(dim, top):
+    """Drawn elements with ``top`` added to every top-field exponent."""
+    return _polys(dim).map(lambda p: ExpPoly(dim, {m[:-1] + (m[-1] + top,): c for m, c in p.terms.items()}))
+
+
+@pytest.mark.parametrize("top", [2**40, 10**30], ids=["2**40", "10**30"])
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_bracket_past_the_int64_bound_matches_the_tuple_bracket(top, dim, data):
+    f, g = data.draw(_lifted(dim, top)), data.draw(_lifted(dim, -top))
+    for omega in (_omega(dim), _full_omega(dim)):
+        _same(poisson_bracket(f, g, omega), _ref_bracket(dict(f.terms), dict(g.terms), omega))
+
+
+@pytest.mark.parametrize("top", [2**40, 10**30], ids=["2**40", "10**30"])
+def test_top_fields_that_pair_past_2_63_are_exact(top):
+    # m^T omega n = top**2 - top: int64 would wrap it silently for 2**40 and cannot hold 10**30
+    f, g = ExpPoly(2, {(1, top): 1, (0, 1): 3}), ExpPoly(2, {(2, top): 5, (-1, -top): 1})
+    omega = [[0, 1], [-1, 1]]
+    got = poisson_bracket(f, g, omega)
+    _same(got, _ref_bracket(dict(f.terms), dict(g.terms), omega))
+    assert got.coefficient((3, 2 * top)) == Fraction(5 * (top * top - top), 4)
+
+
+def _wide(omega):
+    """``omega`` with its (0, dim - 1) entry pair moved by 10**20; a 1 x 1 table gets 10**20 itself."""
+    out = [list(row) for row in omega]
+    out[0][-1] += 10**20
+    out[-1][0] -= 10**20 if len(out) > 1 else 0
+    return out
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_qmul_with_a_huge_omega_entry_matches_the_tuple_qmul(dim, data):
+    f, g = (data.draw(_qpolys(dim)) for _ in range(2))
+    omega = _wide(_omega(dim))
+    _same(qmul(f, g, omega).flat, _ref_qmul(dict(f.flat.terms), dict(g.flat.terms), omega))
+    # the commutator's rho exponents are past 2**63 too
+    a, b = (QExpPoly.from_classical(data.draw(_polys(dim))) for _ in range(2))
+    _same(classical_limit_commutator(a, b, omega), _ref_limit(dict(a.flat.terms), dict(b.flat.terms), omega))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_rho_exponent_past_2_63_never_enters_the_pairing(dim, data):
+    rho = LaurentPoly.rho_power(2**64 + data.draw(st.integers(-3, 3)))
+    f, g = data.draw(_qpolys(dim)).scale(rho), data.draw(_qpolys(dim)).scale(rho.star())
+    omega = _omega(dim)
+    for x, y in ((f, g), (g, f), (f, f)):
+        _same(qmul(x, y, omega).flat, _ref_qmul(dict(x.flat.terms), dict(y.flat.terms), omega))
+    if f:
+        # the classical limit refuses such an operand before it pairs anything
+        with pytest.raises(ValueError, match="rho-independent"):
+            classical_limit_commutator(f, QExpPoly.from_classical(ExpPoly.const(dim, 1)), omega)
+
+
+@pytest.mark.parametrize("dim", (0,) + DIMS)
+def test_dim_0_and_zero_operands_match_the_tuple_ring(dim):
+    omega = _omega(dim)
+    zero, one = ExpPoly.zero(dim), ExpPoly.const(dim, 3)
+    x = ExpPoly(dim, {tuple(range(1, dim + 1)): 2, (0,) * dim: -1})
+    for f, g in ((zero, zero), (zero, x), (x, zero), (one, x), (x, x)):
+        _same(poisson_bracket(f, g, omega), _ref_bracket(dict(f.terms), dict(g.terms), omega))
+        qf, qg = QExpPoly(dim, dict(f.terms)), QExpPoly(dim, dict(g.terms))
+        _same(qmul(qf, qg, omega).flat, _ref_qmul(dict(qf.flat.terms), dict(qg.flat.terms), omega))
+        _same(classical_limit_commutator(qf, qg, omega), _ref_limit(dict(qf.flat.terms), dict(qg.flat.terms), omega))
+    q = QExpPoly(dim, {(0,) * dim: LaurentPoly({5: 2, -2**70: 1})})
+    _same(qmul(q, q, omega).flat, _ref_qmul(dict(q.flat.terms), dict(q.flat.terms), omega))
