@@ -208,11 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qdilog", help="quantum dilogarithm evaluation")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--hbar", type=float, required=True)
-    p.add_argument(
-        "--check",
-        choices=["difference", "quasi1", "quasi2", "semiclassical"],
-        default="difference",
-    )
+    p.add_argument("--check", choices=quantum.QDILOG_CHECKS, default=quantum.QDILOG_CHECKS[0])
     return parser
 
 

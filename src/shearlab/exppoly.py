@@ -568,13 +568,14 @@ class QExpPoly:
 
     @classmethod
     def from_classical(cls, f: ExpPoly) -> "QExpPoly":
-        """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c.
+        """Weyl promotion: each c e^{m.z/2} becomes c e^{m.Z/2} with rho-free c, at every dimension.
 
-        The keys are reused as they are; f's top field, read as rho would be,
-        becomes a lower field here, so it joins the bound.
+        ``f`` must be an ``ExpPoly`` (a subclass passes); any other class
+        raises ``TypeError``.  The constructor's guard is the field rule:
+        ``f``'s top field becomes a lower field here.
         """
-        top = max((abs(r) for _, r, _ in _rho_split(f)), default=0)
-        return cls._of(_new(ExpPoly, f.dim + 1, f._packed, _guard(max(f._b, top))))
+        _check(f, f, ExpPoly)
+        return cls(f.dim, f.terms)
 
     @property
     def dim(self) -> int:

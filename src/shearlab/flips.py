@@ -46,10 +46,8 @@ _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
 
 
 def phi(z: float) -> float:
-    """log(1 + e^z), computed stably."""
-    if z > 0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
+    """log(1 + e^z), computed stably: the first of ``_phi_pair``'s corner terms."""
+    return _phi_pair(z)[0]
 
 
 def _phi_pair(z: float) -> tuple:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exppoly import ExpPoly, _path_entries, poisson_bracket
-from .fatgraph import FatGraph, edge_of, opposite, short_repr
+from .fatgraph import FatGraph, edge_of, once_punctured_torus, opposite, short_repr
 
 
 class PathError(ValueError):
@@ -198,7 +198,7 @@ TORUS_HOLE = (0, 3, 4, 1, 2, 5)
 
 def torus_casimir(g: FatGraph) -> ExpPoly:
     """C = G_A^2 + G_B^2 + G_{AB^-1}^2 - G_A G_B G_{AB^-1} on the torus graph."""
-    if g.sigma != (2, 3, 4, 5, 0, 1):
+    if g.sigma != once_punctured_torus().sigma:
         raise PathError("torus_casimir requires the once-punctured torus graph")
     ga = geodesic_function(g, TORUS_A)
     gb = geodesic_function(g, TORUS_B)

@@ -241,8 +241,11 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     return value
 
 
+QDILOG_CHECKS = ("difference", "quasi1", "quasi2", "semiclassical")  # the kinds qdilog_check takes
+
+
 def qdilog_check(kind: str, z: complex, hbar: float) -> dict:
-    """Residual of one of the quantum dilogarithm identities."""
+    """Residual of one of the quantum dilogarithm identities, named by one of ``QDILOG_CHECKS``."""
     hbar = _number("hbar", hbar, numbers.Real, float)  # phi_hbar refuses hbar <= 0
     z = _number("z", z, numbers.Complex, complex)
     params = QDilogParams(hbar=hbar)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import shearlab
-from shearlab.cli import _emit, run
+from shearlab import quantum
+from shearlab.cli import _build_parser, _emit, run
 from shearlab.fatgraph import once_punctured_torus
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,6 +140,21 @@ def test_qdilog_quasi_checks(capsys):
         hbar = "0.01" if check == "semiclassical" else "0.5"
         code, out, _ = _run(capsys, "qdilog", "--z", "0.5", "--hbar", hbar, "--check", check)
         assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+def test_qdilog_check_choices_are_quantums_kinds(capsys):
+    qdilog = next(a for a in _build_parser()._actions if a.dest == "command").choices["qdilog"]
+    check = next(a for a in qdilog._actions if a.dest == "check")
+    assert list(check.choices) == list(quantum.QDILOG_CHECKS) and check.default == quantum.QDILOG_CHECKS[0]
+    for kind in ("bogus", "qdilog_difference", "Difference", ""):
+        with pytest.raises(quantum.QuantumError, match=f"^unknown check {re.escape(repr(kind))}$"):
+            quantum.qdilog_check(kind, 0.5, 0.5)
+    code, out, err = _run(capsys, "qdilog", "--z", "0", "--hbar", "1", "--check", "bogus")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --check: invalid choice: 'bogus' "
+        "(choose from 'difference', 'quasi1', 'quasi2', 'semiclassical')\n"
+    )
 
 
 def test_missing_required_args(capsys):

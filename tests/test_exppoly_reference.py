@@ -238,6 +238,9 @@ def test_classical_limit_reads_the_rho_field(dim, data):
     f, g = (data.draw(_polys(dim)) for _ in range(2))
     omega = _omega(dim)
     qf, qg = QExpPoly.from_classical(f), QExpPoly.from_classical(g)
+    # Weyl promotion keeps f's keys, order and coefficients under a zero rho field
+    _same(qf.flat, {m + (0,): c for m, c in f.terms.items()})
+    assert list(qf.flat.terms.items()) == list(QExpPoly(dim, dict(f.terms)).flat.terms.items())
     comm = qmul(qf, qg, omega) - qmul(qg, qf, omega)
     # the earlier form: regroup by exponent vector, then -r/8 per rho^r
     ref = {m: Fraction(sum(-r * c for (r,), c in cs.terms.items()), 8) for m, cs in comm.terms.items()}
@@ -275,6 +278,18 @@ def test_the_top_field_is_unbounded():
     assert LaurentPoly.rho_power(big).star() == LaurentPoly.rho_power(-big)
     with pytest.raises(ExponentOverflow):
         QExpPoly.from_classical(ExpPoly.monomial((0, 0, EXPONENT_LIMIT)))
+
+
+@pytest.mark.parametrize("bad", [QExpPoly.monomial((1, 0)), {(1, 0): 2}, 3], ids=["QExpPoly", "dict", "int"])
+def test_weyl_promotion_refuses_a_non_exppoly(bad):
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^cannot combine {name} and {name} as ExpPoly operands$"):
+        QExpPoly.from_classical(bad)
+
+
+def test_weyl_promotion_takes_an_exppoly_subclass():
+    f = LaurentPoly({2: 1, -1: 3})
+    assert QExpPoly.from_classical(f) == QExpPoly(1, {(2,): 1, (-1,): 3})
 
 
 def test_a_product_that_would_carry_raises():
@@ -452,8 +467,13 @@ def test_dim_0_and_zero_operands_match_the_tuple_ring(dim):
     x = ExpPoly(dim, {tuple(range(1, dim + 1)): 2, (0,) * dim: -1})
     for f, g in ((zero, zero), (zero, x), (x, zero), (one, x), (x, x)):
         _same(poisson_bracket(f, g, omega), _ref_bracket(dict(f.terms), dict(g.terms), omega))
-        qf, qg = QExpPoly(dim, dict(f.terms)), QExpPoly(dim, dict(g.terms))
-        _same(qmul(qf, qg, omega).flat, _ref_qmul(dict(qf.flat.terms), dict(qg.flat.terms), omega))
-        _same(classical_limit_commutator(qf, qg, omega), _ref_limit(dict(qf.flat.terms), dict(qg.flat.terms), omega))
+        # built by the constructor, and by Weyl promotion
+        for qf, qg in (
+            (QExpPoly(dim, dict(f.terms)), QExpPoly(dim, dict(g.terms))),
+            (QExpPoly.from_classical(f), QExpPoly.from_classical(g)),
+        ):
+            F, G = dict(qf.flat.terms), dict(qg.flat.terms)
+            _same(qmul(qf, qg, omega).flat, _ref_qmul(F, G, omega))
+            _same(classical_limit_commutator(qf, qg, omega), _ref_limit(F, G, omega))
     q = QExpPoly(dim, {(0,) * dim: LaurentPoly({5: 2, -2**70: 1})})
     _same(qmul(q, q, omega).flat, _ref_qmul(dict(q.flat.terms), dict(q.flat.terms), omega))

@@ -50,6 +50,21 @@ def test_phi_values():
     assert phi(-800.0) == pytest.approx(0.0, abs=1e-300)
 
 
+def _two_branch_phi(z):
+    """The reference log(1 + e^z), with a branch of its own on each side of 0."""
+    if z > 0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
+
+
+def test_phi_is_the_two_branch_formula_bit_for_bit():
+    rng = random.Random(43)
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 745.0, -745.0, 800.0, -800.0, math.inf, -math.inf]
+    values += [rng.uniform(-40, 40) for _ in range(20000)] + [rng.uniform(-800, 800) for _ in range(20000)]
+    for z in values:
+        assert phi(z).hex() == _two_branch_phi(z).hex(), z  # hex() keeps the sign of a zero
+
+
 def test_phi_functional_equation():
     rng = random.Random(1)
     for _ in range(200):
@@ -415,7 +430,7 @@ def test_phi_pair_is_the_two_phi_calls_bit_for_bit():
     values += [rng.uniform(-800, 800) for _ in range(20000)]
     for z in values:
         up, down = _phi_pair(z)
-        want_up, want_down = phi(z), -phi(-z)
+        want_up, want_down = _two_branch_phi(z), -_two_branch_phi(-z)
         assert (up, down) == (want_up, want_down), z
         assert (math.copysign(1.0, up), math.copysign(1.0, down)) == (
             math.copysign(1.0, want_up),
