@@ -91,6 +91,23 @@ def _walk(step):
     return tuple(out)
 
 
+def _spanning_walk(sigma):
+    """The search from dart 0 by sigma and opposite: one ``(parent, child, by_sigma)`` per dart reached after 0.
+
+    ``child`` is ``sigma[parent]`` when ``by_sigma``, else ``opposite(parent)``; an empty sigma has an empty walk.
+    """
+    walk, reached = [], {0}
+    stack = [0] if sigma else []
+    while stack:
+        d = stack.pop()
+        for nd, by_sigma in ((sigma[d], True), (opposite(d), False)):
+            if nd not in reached:
+                reached.add(nd)
+                stack.append(nd)
+                walk.append((d, nd, by_sigma))
+    return walk
+
+
 def _multiplicity(darts, n_edges):
     mult = [0] * n_edges
     for d in darts:
@@ -200,17 +217,10 @@ class FatGraph:
     def validate(self) -> TopologyReport:
         """The topology of this graph, which must have darts and be connected (construction checked the rest)."""
         n = self.n_darts
-        sigma = self.sigma
         # a connected graph is one surface, so V - E + F = 2 - 2g fixes the genus
         if not n:
             raise FatGraphError("graph is not connected: it has no darts")
-        reached, stack = {0}, [0]
-        while stack:
-            d = stack.pop()
-            for nd in (sigma[d], opposite(d)):
-                if nd not in reached:
-                    reached.add(nd)
-                    stack.append(nd)
+        reached = {0}.union(child for _, child, _ in _spanning_walk(self.sigma))
         if len(reached) != n:
             lost = min(set(range(n)) - reached)
             raise FatGraphError(f"graph is not connected: dart {lost} is not reachable from dart 0")

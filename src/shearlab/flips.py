@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
-from .fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, short_repr
+from .fatgraph import FatGraph, FatGraphError, _spanning_walk, edge_of, once_punctured_torus, opposite, short_repr
 from .geodesics import PathError, _steps, float_report, next_darts
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
@@ -169,11 +169,11 @@ def transport_path(record: FlipRecord, path):
 
 
 def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
-    """Dart bijection taking (opp, sigma) of g1 to g2 and edge i to edge_map[i].
+    """The dart bijection (a list) taking (opp, sigma) of g1 to g2 and edge i to edge_map[i], or None.
 
-    Returns the dart map as a list, or None.  Labels must agree through
-    edge_map within 1e-12.  An edge_map that is not a list of g1.n_edges
-    edge indices of g2 raises ``FatGraphError``.
+    It is read off g1's ``_spanning_walk`` from each seed of dart 0 and checked on every dart, so an
+    empty or disconnected g1 has none.  Labels must agree through edge_map within 1e-12.  An
+    edge_map that is not a list of g1.n_edges edge indices of g2 raises ``FatGraphError``.
     """
     if edge_map is None:
         edge_map = list(range(g1.n_edges))
@@ -183,31 +183,18 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
         and all(type(j) is int and 0 <= j < g2.n_edges for j in edge_map)
     ):
         raise FatGraphError(f"edge_map {short_repr(edge_map)} is not a list of {g1.n_edges} edge indices of g2")
-    if g1.n_darts != g2.n_darts:
-        return None
-    n = g1.n_darts
-    if _label_gap(g1, g2, edge_map) > _TOL:
+    n, walk = g1.n_darts, _spanning_walk(g1.sigma)
+    if len(walk) + 1 != n or g2.n_darts != n or _label_gap(g1, g2, edge_map) > _TOL:
         return None
     for seed in (2 * edge_map[0], 2 * edge_map[0] + 1):
-        psi = [-1] * n
-        psi[0] = seed
-        psi[1] = opposite(seed)
-        stack = [0, 1]
-        ok = True
-        while stack and ok:
-            d = stack.pop()
-            for nd, target in ((g1.sigma[d], g2.sigma[psi[d]]), (opposite(d), opposite(psi[d]))):
-                if psi[nd] == -1:
-                    if edge_map[edge_of(nd)] != edge_of(target):
-                        ok = False
-                        break
-                    psi[nd] = target
-                    stack.append(nd)
-                elif psi[nd] != target:
-                    ok = False
-                    break
-        # every popped dart d has psi[sigma1(d)] == sigma2(psi[d]); edge_map need not be a bijection
-        if ok and -1 not in psi and len(set(psi)) == n:
+        psi = [seed] * n  # psi[0] = seed; the walk sets every other dart
+        for parent, child, by_sigma in walk:
+            psi[child] = g2.sigma[psi[parent]] if by_sigma else opposite(psi[parent])
+        if len(set(psi)) == n and all(
+            psi[g1.sigma[d]] == g2.sigma[psi[d]] and psi[opposite(d)] == opposite(psi[d])
+            and edge_of(psi[d]) == edge_map[edge_of(d)]
+            for d in range(n)
+        ):
             return psi
     return None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ class UhpPoint:
 
     @classmethod
     def interior(cls, x, y) -> "UhpPoint":
+        x, y = _real(x), _real(y)
         for v in (x, y):
             if not (_is_exact(v) or math.isfinite(v)):
                 raise HyperbolicError(f"interior point needs finite coordinates, got {short_repr(v)}")
@@ -41,7 +43,11 @@ class UhpPoint:
 
     @classmethod
     def boundary(cls, x) -> "UhpPoint":
-        return cls(x, 0)
+        """The boundary point x; +-inf is ``infinity()`` and NaN is refused."""
+        x = _real(x)
+        if x != x:
+            raise HyperbolicError("boundary point needs a coordinate that is not NaN")
+        return cls(x, 0) if _is_exact(x) or math.isfinite(x) else cls.infinity()
 
     @classmethod
     def infinity(cls) -> "UhpPoint":
@@ -67,6 +73,13 @@ class UhpPoint:
         if self.y == 0:
             return f"UhpPoint({self.x})"
         return f"UhpPoint({self.x} + {self.y}i)"
+
+
+def _real(v):
+    """The input rule of every map entry and point coordinate: a real, no bool; int and Fraction stay exact."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise HyperbolicError(f"expected a real number that is not a bool, got {short_repr(v)}")
+    return v if _is_exact(v) else float(v)
 
 
 def _is_exact(x) -> bool:
@@ -100,6 +113,7 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
+        a, b, c, d = (_real(x) for x in (a, b, c, d))
         exact = all(_is_exact(x) for x in (a, b, c, d))
         if exact:
             a, b, c, d = (Fraction(x) for x in (a, b, c, d))

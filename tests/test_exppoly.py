@@ -235,6 +235,61 @@ def test_a_non_int_exponent_is_refused_not_truncated(make, named):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExpPoly(3, {(0, 0, 0): 0.5}),
+        lambda: ExpPoly.const(2, 0.5),
+        lambda: ExpPoly.monomial((1, 0, 0)) * 0.5,
+        lambda: LaurentPoly({0: 0.5}),
+        lambda: QExpPoly(2, {(0, 0): 0.5}),
+    ],
+    ids=["ExpPoly", "ExpPoly.const", "ExpPoly-times-float", "LaurentPoly", "QExpPoly"],
+)
+def test_a_coefficient_that_is_not_exact_is_refused(make):
+    with pytest.raises(TypeError, match="^coefficient must be an int or Fraction, got float$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: ExpPoly(3, {(1, 2): 1}), "(1, 2) has length 2, expected 3"),
+        (lambda: ExpPoly(2, {(1, 2, 3): 1}), "(1, 2, 3) has length 3, expected 2"),
+        (lambda: QExpPoly(2, {(1,): 1}), "(1,) has length 1, expected 2"),
+    ],
+    ids=["ExpPoly-short", "ExpPoly-long", "QExpPoly-short"],
+)
+def test_an_exponent_vector_of_the_wrong_length_is_refused(make, named):
+    with pytest.raises(DimensionMismatch, match=f"^exponent vector {re.escape(named)}$"):
+        make()
+
+
+def test_reprs_of_zero_and_of_exponential_terms():
+    assert [repr(f) for f in (ExpPoly(3), LaurentPoly(), QExpPoly(2))] == ["0", "0", "0"]
+    assert repr(ExpPoly(3, {(1, -1, 0): Fraction(3, 2), (0, 0, 0): -2})) == "-2 + 3/2 * exp((1*z0 + -1*z1)/2)"
+    assert repr(LaurentPoly({0: 2, 1: -1, -2: 3})) == "3*rho^-2 + 2 + -1*rho^1"
+    q = QExpPoly(2, {(1, 0): LaurentPoly({1: 2}), (0, 0): 1})
+    assert repr(q) == "(1) * 1 + (2*rho^1) * exp((1*Z0)/2)"
+
+
+def test_quantum_negation():
+    q = QExpPoly(2, {(1, 0): LaurentPoly({1: 2}), (0, -1): Fraction(1, 3)})
+    assert -q == QExpPoly(2) - q and -q + q == QExpPoly(2) and -(-q) == q
+    assert -q == QExpPoly(2, {(1, 0): LaurentPoly({1: -2}), (0, -1): Fraction(-1, 3)})
+
+
+@pytest.mark.parametrize(
+    "f",
+    [ExpPoly.monomial((1, 0, 0)), QExpPoly.monomial((1, 0, 0)), LaurentPoly.rho_power(1)],
+    ids=["ExpPoly", "QExpPoly", "LaurentPoly"],
+)
+def test_a_ring_element_is_never_equal_to_a_foreign_operand(f):
+    for other in ("x", None, 0.0, (1, 0, 0)):
+        assert f.__eq__(other) is NotImplemented
+        assert f != other
+
+
 def _tetrahedron_operands():
     g = tetrahedron()
     rng = random.Random(7)

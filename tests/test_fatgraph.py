@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shearlab.fatgraph import (
     FatGraph,
     FatGraphError,
+    _spanning_walk,
     edge_of,
     once_punctured_torus,
     opposite,
@@ -85,13 +86,34 @@ def test_constructor_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize(
-    "sigma",
-    [[2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7], [2, 3, 4, 5, 0, 1, 8, 11, 10, 7, 6, 9], []],
+    "sigma, fault",
+    [
+        ([2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7], "dart 6 is not reachable from dart 0"),
+        ([2, 3, 4, 5, 0, 1, 8, 11, 10, 7, 6, 9], "dart 6 is not reachable from dart 0"),
+        ([], "it has no darts"),
+    ],
     ids=["two_tori", "torus_and_theta", "empty"],
 )
-def test_validate_rejects_disconnected(sigma):
-    with pytest.raises(FatGraphError, match="not connected"):
+def test_validate_rejects_disconnected(sigma, fault):
+    with pytest.raises(FatGraphError) as exc:
         FatGraph(sigma, (0,) * (len(sigma) // 2)).validate()
+    assert str(exc.value) == f"graph is not connected: {fault}"
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_spanning_walk_reaches_each_dart_once_by_sigma_or_opposite(rnd):
+    sigma = tuple(_random_trivalent_sigma(rnd, 2 * rnd.randint(1, 5)))
+    walk = _spanning_walk(sigma)
+    children = [child for _, child, _ in walk]
+    reached = {0}
+    for parent, child, by_sigma in walk:
+        assert parent in reached and child == (sigma[parent] if by_sigma else opposite(parent))
+        reached.add(child)
+    # dart 0 and each child once, closed under sigma and opposite: the component of dart 0
+    assert len(children) == len(reached) - 1 and 0 not in children
+    assert reached == {d for d in range(len(sigma)) if {d, sigma[d], opposite(d)} <= reached}
+    assert _spanning_walk(()) == []
 
 
 @pytest.mark.parametrize(
@@ -140,6 +162,21 @@ def test_json_roundtrip(tmp_path):
         FatGraph.from_json({"sigma": [2, 3, 4, 5, 0, 1]})
     with pytest.raises(FatGraphError):
         FatGraph.from_json([1, 2, 3])
+
+
+def test_to_json_writes_fraction_labels_as_ints_or_floats():
+    g = once_punctured_torus((Fraction(4, 2), Fraction(1, 4), 3))
+    data = g.to_json()
+    assert data == {"sigma": [2, 3, 4, 5, 0, 1], "z": [2, 0.25, 3]}
+    assert [type(x) for x in data["z"]] == [int, float, int]
+    assert json.loads(json.dumps(data)) == data and FatGraph.from_json(data) == g
+
+
+def test_a_graph_is_never_equal_to_a_foreign_operand():
+    g = once_punctured_torus()
+    for other in ({"sigma": [2, 3, 4, 5, 0, 1], "z": [0, 0, 0]}, (g.sigma, g.z), None):
+        assert g.__eq__(other) is NotImplemented
+        assert g != other
 
 
 @settings(max_examples=60)

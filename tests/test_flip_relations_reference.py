@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 from shearlab.fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, tetrahedron
-from shearlab.flips import check_commutation, check_involution, check_pentagon, flip
+from shearlab.flips import check_commutation, check_involution, check_pentagon, find_isomorphism, flip
 from shearlab.geodesics import float_report
+
+from test_flips import _random_connected_graph, _relabel
 
 _TOL = 1e-12
 
@@ -150,3 +152,26 @@ def test_pentagon_and_commutation_match_on_mixed_label_types():
     for k in range(12):
         z = [(rng.randint(-3, 3), Fraction(rng.randint(-9, 9), 7), rng.uniform(-2, 2))[(k + i) % 3] for i in range(6)]
         _assert_same(FatGraph(g.sigma, z))
+
+
+def test_find_isomorphism_matches_the_reference_on_a_seeded_sweep():
+    # the torus, the tetrahedron and random connected graphs, each with seeded and with zero labels, against a
+    # random relabelling (orientation flips included) and itself, under the identity, the true and a random map
+    rng = random.Random(53)
+    found = missed = 0
+    for _ in range(40):
+        for g in (
+            _seeded(once_punctured_torus, 3, rng),
+            _seeded(tetrahedron, 6, rng),
+            _random_connected_graph(rng, 2 * rng.randint(1, 4)),
+        ):
+            for g1 in (g, g.with_labels([0] * g.n_edges)):
+                h, true_map = _relabel(g1, rng)
+                random_map = [rng.randrange(g1.n_edges) for _ in range(g1.n_edges)]
+                for g2 in (h, g1):
+                    for edge_map in (None, true_map, random_map):
+                        psi = find_isomorphism(g1, g2, edge_map)
+                        assert psi == _ref_find_isomorphism(g1, g2, edge_map), (g1, g2, edge_map)
+                        found += psi is not None
+                        missed += psi is None
+    assert found > 400 and missed > 400  # the sweep sees both verdicts

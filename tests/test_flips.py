@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from shearlab import fatgraph, flips
 from shearlab.fatgraph import FatGraph, FatGraphError, once_punctured_torus, tetrahedron
 from shearlab.flips import (
     FlipRecord,
@@ -207,6 +209,41 @@ def test_a_malformed_edge_map_is_refused(edge_map):
     assert find_isomorphism(g, g, list(range(6))) is not None
 
 
+@pytest.mark.parametrize(
+    "g1, edge_map",
+    [
+        (FatGraph([], []), []),
+        (FatGraph([2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7], [0.5, 1, 2] * 2), [3, 4, 5, 0, 1, 2]),
+    ],
+    ids=["empty", "two_tori"],
+)
+def test_find_isomorphism_of_an_empty_or_disconnected_graph_is_none(g1, edge_map):
+    assert find_isomorphism(g1, g1) is None
+    assert find_isomorphism(g1, g1, edge_map) is None
+
+
+def test_validate_and_find_isomorphism_share_one_spanning_walk(monkeypatch):
+    # _spanning_walk is the one dart search: count it in every shearlab module that binds it
+    walked = []
+    original = fatgraph._spanning_walk
+
+    def counted(sigma):
+        walked.append(sigma)
+        return original(sigma)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("shearlab")]
+    bound = [m for m in modules if vars(m).get("_spanning_walk") is original]
+    assert fatgraph in bound and flips in bound
+    for module in bound:
+        monkeypatch.setattr(module, "_spanning_walk", counted)
+    g = tetrahedron((0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    g.validate()
+    assert walked == [g.sigma]
+    walked.clear()
+    assert find_isomorphism(g, g) is not None
+    assert walked == [g.sigma]
+
+
 def _loop_free(g, a):
     """Whether the vertex of dart ``a`` sits on three distinct edges."""
     return len({a // 2, g.sigma[a] // 2, g.sigma[g.sigma[a]] // 2}) == 3
@@ -298,6 +335,22 @@ def test_transport_validates_input_word():
         transport_path(rec, (99,))
     with pytest.raises(PathError):
         transport_path(rec, (0, 1))
+
+
+def test_transport_refuses_a_word_on_the_flipped_edge_alone():
+    # the dumbbell's edge 0 is a loop that flip refuses, so only a hand-built record reaches this refusal
+    dumbbell = FatGraph([1, 2, 0, 4, 5, 3], [0, 0, 0])
+    rec = FlipRecord(0, (), dumbbell, dumbbell, "anti")
+    with pytest.raises(PathError, match="^path has no darts outside the flipped edge$"):
+        transport_path(rec, (0,))
+
+
+def test_transport_refuses_a_record_whose_after_is_not_its_flip():
+    g = tetrahedron()
+    flipped = flip(g, 0)
+    rec = FlipRecord(1, flipped.corners, g, flipped.after, flipped.rule)
+    with pytest.raises(PathError, match=r"^cannot transport step 9 -> 1 across the flip$"):
+        transport_path(rec, (9, 1, 2, 10))
 
 
 def test_transport_roundtrip():

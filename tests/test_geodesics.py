@@ -392,6 +392,13 @@ def test_random_closed_path_rejects_bad_bounds():
             random_closed_path(TORUS, random.Random(0), *bounds)
 
 
+@pytest.mark.parametrize("length", [3, 5, 7])
+def test_random_closed_path_gives_up_when_no_closed_word_has_the_length(length):
+    # every closed word on the torus has even length (each step moves to the other vertex)
+    with pytest.raises(PathError, match="^no closed path found in 5000 tries$"):
+        random_closed_path(TORUS, random.Random(length), length, length)
+
+
 @pytest.mark.parametrize("start", [99, 6, -1, "a", 0.0, True])
 def test_random_closed_path_refuses_a_start_that_is_not_a_dart(start):
     with pytest.raises(PathError, match="start"):

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shearlab.hyperbolic import (
@@ -352,3 +354,88 @@ def test_a_discriminant_below_the_float_range_is_refused():
     assert m.classify() == "hyperbolic"
     with pytest.raises(HyperbolicError, match="discriminant .* is below the float range"):
         m.fixed_points()
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: MoebiusMap("1", 0, 0, "1"), "'1'"),
+        (lambda: MoebiusMap(True, 0, 0, True), "True"),
+        (lambda: MoebiusMap(None, 0, 0, 1), "None"),
+        (lambda: MoebiusMap(1.0, 0, 0, 1j), "1j"),
+        (lambda: UhpPoint.interior(True, 1), "True"),
+        (lambda: UhpPoint.interior("a", 1), "'a'"),
+        (lambda: UhpPoint.interior(0, [1]), "[1]"),
+        (lambda: UhpPoint.boundary("0.5"), "'0.5'"),
+        (lambda: UhpPoint.boundary(False), "False"),
+    ],
+    ids=["str-entry", "bool-entry", "none-entry", "complex-entry", "bool-x", "str-x", "list-y", "str-boundary",
+         "bool-boundary"],
+)
+def test_an_entry_or_coordinate_that_is_not_a_real_number_is_refused(make, named):
+    with pytest.raises(HyperbolicError, match=f"^expected a real number that is not a bool, got {re.escape(named)}$"):
+        make()
+
+
+def test_real_inputs_stay_exact_or_become_floats():
+    assert UhpPoint.boundary(Fraction(1, 3)).x == Fraction(1, 3) and UhpPoint.interior(2, 10**400).y == 10**400
+    p = UhpPoint.interior(np.float64(0.5), np.int64(2))
+    assert type(p.x) is float and type(p.y) is float and p == UhpPoint.interior(0.5, 2.0)
+    m = MoebiusMap(np.int64(1), 0, 0, 1)  # a numpy int is not exact: the map is a float map
+    assert all(type(x) is float for x in m.entries()) and m.classify() == "identity"
+    assert all(type(x) is Fraction for x in MoebiusMap(1, 0, 0, 1).entries())
+
+
+def test_a_nan_boundary_point_is_refused():
+    with pytest.raises(HyperbolicError, match="^boundary point needs a coordinate that is not NaN$"):
+        UhpPoint.boundary(math.nan)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, np.float64(math.inf)], ids=["inf", "minus-inf", "numpy-inf"])
+def test_an_infinite_boundary_point_is_infinity(x):
+    p = UhpPoint.boundary(x)
+    assert p == UhpPoint.infinity() and p.at_infinity
+    assert apply(MoebiusMap(1.0, 0, 0, 1.0), p).at_infinity
+    assert apply(MoebiusMap(0, 1, -1, 0), p) == UhpPoint.boundary(0)
+
+
+def test_interior_and_point_refusals():
+    with pytest.raises(HyperbolicError, match=r"^interior point needs y > 0, got y = 0$"):
+        UhpPoint.interior(1, 0)
+    with pytest.raises(HyperbolicError, match=r"^interior point needs y > 0, got y = -0.5$"):
+        UhpPoint.interior(1, -0.5)
+    with pytest.raises(HyperbolicError, match="^infinity has no complex value$"):
+        UhpPoint.infinity().as_complex()
+
+
+def test_a_float_map_with_a_non_positive_determinant_is_refused():
+    for entries in ((0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, -2.0), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(HyperbolicError, match=r"^determinant -?[\d.]+ is not positive$"):
+            MoebiusMap(*entries)
+
+
+def test_hyperbolic_circle_refusals():
+    with pytest.raises(HyperbolicError, match="^hyperbolic circle needs an interior center$"):
+        hyperbolic_circle(UhpPoint.boundary(0.5), 1.0)
+    with pytest.raises(HyperbolicError, match="^hyperbolic circle needs an interior center$"):
+        hyperbolic_circle(UhpPoint.infinity(), 1.0)
+    for radius in (0, -1.0, math.nan):
+        with pytest.raises(HyperbolicError, match="^radius must be positive$"):
+            hyperbolic_circle(UhpPoint.interior(0, 1), radius)
+
+
+def test_point_repr_and_closeness_at_infinity():
+    oo = UhpPoint.infinity()
+    assert [repr(p) for p in (oo, UhpPoint.boundary(Fraction(1, 3)), UhpPoint.interior(0.5, 2))] == [
+        "UhpPoint(oo)",
+        "UhpPoint(1/3)",
+        "UhpPoint(0.5 + 2i)",
+    ]
+    assert oo.close_to(UhpPoint.infinity())
+    assert not oo.close_to(UhpPoint.boundary(0)) and not UhpPoint.boundary(0).close_to(oo)
+
+
+def test_a_map_is_never_equal_to_a_foreign_operand():
+    one = MoebiusMap(1, 0, 0, 1)
+    assert one.__eq__((1, 0, 0, 1)) is NotImplemented
+    assert one != (1, 0, 0, 1) and one != 1 and one != "identity"
