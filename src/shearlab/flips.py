@@ -29,7 +29,8 @@ Two dart assignments realize the re-glued pairing (which dart of e ends up
 at which new vertex).  We pick the one determined by where the smallest
 corner dart sits; the choice alternates under repeated flips, which makes
 flip an exact involution on (sigma, labels) rather than an involution only
-up to relabeling.
+up to relabeling.  The label update is one law on tuples, ``_law``: ``flip``
+and the involution and perimeter checks (which build no graph) share it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 
-from .fatgraph import FatGraph, FatGraphError, _spanning_walk, edge_of, once_punctured_torus, opposite, short_repr
+from .fatgraph import FatGraph, FatGraphError, _check_labels, _spanning_walk, _table, edge_of, opposite, short_repr
+from .fatgraph import once_punctured_torus
 from .geodesics import PathError, _steps, float_report, next_darts
 
 _TOL = 1e-12  # label agreement, and the residual bound of every flip relation
@@ -76,14 +78,14 @@ def _edge(g: FatGraph, e) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _flip_plan(sigma, e):
-    """The label-free part of flipping ``e``, or None for a self-loop.
+    """The label-free part of flipping ``e``; a self-loop is refused (and not cached).
 
-    Returns (the re-glued graph with zero labels, corners (P1, Q2, P2, Q1),
-    rule, edges of P1, P2, Q1, Q2).
+    Returns (the re-glued graph with zero labels, corners (P1, Q2, P2, Q1), rule,
+    (e, edges of P1, P2, Q1, Q2), the face multiplicity vectors before and after).
     """
     a, b = 2 * e, 2 * e + 1
     if b in (sigma[a], sigma[sigma[a]]):
-        return None
+        raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
     p1, q1 = sigma[a], sigma[sigma[a]]
     p2, q2 = sigma[b], sigma[sigma[b]]
 
@@ -99,25 +101,14 @@ def _flip_plan(sigma, e):
         new[a], new[q2], new[p1] = q2, p1, a
         new[b], new[q1], new[p2] = q1, p2, b
     shape = FatGraph(new, [0] * (len(new) // 2))
-    return shape, (p1, q2, p2, q1), rule, tuple(edge_of(d) for d in (p1, p2, q1, q2))
+    faces = tuple(tuple(_table(s)[1].values()) for s in (sigma, shape.sigma))
+    return shape, (p1, q2, p2, q1), rule, (e, *(edge_of(d) for d in (p1, p2, q1, q2))), faces
 
 
-def flip(g: FatGraph, e: int) -> FlipRecord:
-    """Flip edge ``e`` of ``g``.
-
-    The re-glued sigma, the corners and the rule depend on ``(g.sigma, e)``
-    alone and are planned once per pair (a small LRU cache); only the label
-    law runs per call.  Only the four corner labels can leave the float
-    range, so only they are checked; an overflow to inf goes through the
-    ``FatGraph`` label rule and raises its ``FatGraphError``.
-    The edge must pass the edge rule ``_edge``.
-    """
-    plan = _flip_plan(g.sigma, _edge(g, e))
-    if plan is None:
-        raise FatGraphError(f"edge {e} is a self-loop and cannot be flipped")
-    shape, corners, rule, (ep1, ep2, eq1, eq2) = plan
-
-    z = list(map(float, g.z))
+def _law(plan, z) -> tuple:
+    """The flipped labels of labels ``z`` as finite floats; only a corner can overflow, refused by the label rule."""
+    e, ep1, ep2, eq1, eq2 = plan[3]
+    z = list(map(float, z))
     ze = z[e]
     z[e] = -ze if ze != 0.0 else 0.0
     up, down = _phi_pair(ze)
@@ -125,10 +116,22 @@ def flip(g: FatGraph, e: int) -> FlipRecord:
     z[ep2] += up
     z[eq1] += down
     z[eq2] += down
-    # only a corner can overflow, and the four corners' sum is finite only if each is
-    after = shape._relabel(tuple(z)) if math.isfinite(z[ep1] + z[ep2] + z[eq1] + z[eq2]) else shape.with_labels(z)
+    if not math.isfinite(z[ep1] + z[ep2] + z[eq1] + z[eq2]):  # finite only if each corner is
+        _check_labels(z)
+    return tuple(z)
+
+
+def flip(g: FatGraph, e: int) -> FlipRecord:
+    """Flip edge ``e`` of ``g``.
+
+    The re-glued sigma, the corners and the rule depend on ``(g.sigma, e)``
+    alone and are planned once per pair (a small LRU cache); only the label
+    law ``_law``, which the involution and perimeter checks share, runs per
+    call.  The edge must pass the edge rule ``_edge``.
+    """
+    plan = _flip_plan(g.sigma, _edge(g, e))
     record = object.__new__(FlipRecord)  # FlipRecord(...) without the frozen __init__'s __setattr__ per field
-    record.__dict__.update(edge=e, corners=corners, before=g, after=after, rule=rule)
+    record.__dict__.update(edge=e, corners=plan[1], before=g, after=plan[0]._relabel(_law(plan, g.z)), rule=plan[2])
     return record
 
 
@@ -138,11 +141,12 @@ def transport_path(record: FlipRecord, path):
     Darts off the flipped edge are kept; traversals of the flipped edge are
     dropped and re-inserted exactly where the re-glued quadrilateral requires
     a crossing.  Each kept consecutive pair is checked against the after
-    graph, so the result is valid by construction.
+    graph, so the result is valid by construction.  A record whose after
+    graph is not the flip of its edge is refused.
     """
     path = tuple(path)
     _steps(record.before, path)
-    e = record.edge
+    e = _edge(record.before, record.edge)
     after = record.after
     kept = [d for d in path if edge_of(d) != e]
     if not kept:
@@ -160,6 +164,8 @@ def transport_path(record: FlipRecord, path):
                 break
         else:
             raise PathError(f"cannot transport step {x} -> {y} across the flip")
+    if _flip_plan(record.before.sigma, e)[0].sigma != after.sigma:  # every step may fit a wrong after graph
+        raise FatGraphError(f"the record's after graph is not the flip of edge {e}")
     # rotate so the word starts at its smallest dart (canonical cyclic form)
     k = out.index(min(out))
     return tuple(out[k:] + out[:k])
@@ -184,7 +190,7 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
     ):
         raise FatGraphError(f"edge_map {short_repr(edge_map)} is not a list of {g1.n_edges} edge indices of g2")
     n, walk = g1.n_darts, _spanning_walk(g1.sigma)
-    if len(walk) + 1 != n or g2.n_darts != n or _label_gap(g1, g2, edge_map) > _TOL:
+    if len(walk) + 1 != n or g2.n_darts != n or _label_gap(g1.z, g2.z, edge_map) > _TOL:
         return None
     for seed in (2 * edge_map[0], 2 * edge_map[0] + 1):
         psi = [seed] * n  # psi[0] = seed; the walk sets every other dart
@@ -202,10 +208,10 @@ def find_isomorphism(g1: FatGraph, g2: FatGraph, edge_map=None):
 # -- flip relations -----------------------------------------------------------
 
 
-def _label_gap(g1: FatGraph, g2: FatGraph, edge_map=None) -> float:
-    """The largest ``|g1.z[i] - g2.z[edge_map[i]]|``; the identity map when ``edge_map`` is None."""
-    z2 = g2.z if edge_map is None else [g2.z[j] for j in edge_map]
-    return max(map(abs, map(sub, map(float, g1.z), map(float, z2))))
+def _label_gap(z1, z2, edge_map=None) -> float:
+    """The largest ``|z1[i] - z2[edge_map[i]]|`` of two label tuples; the identity map when ``edge_map`` is None."""
+    z2 = z2 if edge_map is None else [z2[j] for j in edge_map]
+    return max(map(abs, map(sub, map(float, z1), map(float, z2))))
 
 
 def _flip_word(g: FatGraph, edges) -> FatGraph:
@@ -222,17 +228,20 @@ def _shared_vertices(g: FatGraph, e1: int, e2: int) -> int:
 
 
 def check_involution(g: FatGraph, e: int) -> dict:
-    twice = _flip_word(g, (e, e))
-    sigma_equal = twice.sigma == g.sigma
-    return float_report("involution", _label_gap(twice, g), _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
+    """Flipping e twice returns g: the law through the plan, then through the reverse plan."""
+    plan = _flip_plan(g.sigma, _edge(g, e))
+    back = _flip_plan(plan[0].sigma, e)
+    sigma_equal = back[0].sigma == g.sigma
+    twice = _law(back, _law(plan, g.z))
+    return float_report("involution", _label_gap(twice, g.z), _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
 
 
 def check_commutation(g: FatGraph, e1: int, e2: int) -> dict:
     if _shared_vertices(g, e1, e2):
         raise FatGraphError(f"edges {e1} and {e2} share a vertex; commutation needs disjoint edges")
     ab, ba = _flip_word(g, (e1, e2)), _flip_word(g, (e2, e1))
-    sigma_equal = ab.sigma == ba.sigma
-    return float_report("commutation", _label_gap(ab, ba), _TOL, sigma_equal, edges=[e1, e2], sigma_equal=sigma_equal)
+    same = ab.sigma == ba.sigma
+    return float_report("commutation", _label_gap(ab.z, ba.z), _TOL, same, edges=[e1, e2], sigma_equal=same)
 
 
 def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
@@ -244,14 +253,15 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
     edge_map = list(range(g.n_edges))
     edge_map[e1], edge_map[e2] = e2, e1
     ok = find_isomorphism(g, h, edge_map) is not None  # which already bounds this same label gap by _TOL
-    return float_report("pentagon", _label_gap(h, g, edge_map), _TOL, ok, edges=[e1, e2])
+    return float_report("pentagon", _label_gap(h.z, g.z, edge_map), _TOL, ok, edges=[e1, e2])
 
 
 def check_perimeters(g: FatGraph, e: int) -> dict:
-    """Every face perimeter is invariant under the flip of e."""
-    after = flip(g, e).after
-    before_vals = sorted([v for _, v in g.perimeters()])
-    after_vals = sorted([v for _, v in after.perimeters()])
+    """Every face perimeter is invariant under the flip of e: the law once, summed over the plan's face tables."""
+    plan = _flip_plan(g.sigma, _edge(g, e))
+    z, (faces, faces_after) = _law(plan, g.z), plan[4]
+    before_vals = sorted([sum(map(mul, mult, g.z)) for mult in faces])
+    after_vals = sorted([sum(map(mul, mult, z)) for mult in faces_after])
     residual = max(map(abs, map(sub, before_vals, after_vals)))
     return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
 

@@ -2,21 +2,24 @@
 
 The reference below spells each flip sequence and each label gap out by hand,
 as ``check_involution``, ``check_commutation`` and ``check_pentagon`` once
-did.  The library now builds them from one flip-word walker and one label-gap
-helper; every residual must match bit for bit, and every verdict and refusal
-must match exactly, on seeded labels and on the graphs of a long flip walk.
+did, and builds the flipped graph and its perimeters as ``check_perimeters``
+once did.  The library now builds them from one flip-word walker, one label
+law and one label-gap helper; every residual must match bit for bit, and every
+verdict and refusal must match exactly, on seeded, exact and overflowing
+labels and on the graphs of a long flip walk.
 """
 
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
 from shearlab.fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, tetrahedron
-from shearlab.flips import check_commutation, check_involution, check_pentagon, find_isomorphism, flip
+from shearlab.flips import check_commutation, check_involution, check_pentagon, check_perimeters, find_isomorphism, flip
 from shearlab.geodesics import float_report
 
-from test_flips import _random_connected_graph, _relabel
+from test_flips import _random_connected_graph, _relabel, _typed_labels
 
 _TOL = 1e-12
 
@@ -70,6 +73,14 @@ def _ref_involution(g, e):
     return float_report("involution", residual, _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
 
 
+def _ref_perimeters(g, e):
+    after = flip(g, e).after
+    before_vals = sorted([v for _, v in g.perimeters()])
+    after_vals = sorted([v for _, v in after.perimeters()])
+    residual = max(map(abs, map(sub, before_vals, after_vals)))
+    return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
+
+
 def _ref_commutation(g, e1, e2):
     if _ref_shared_vertices(g, e1, e2):
         raise FatGraphError(f"edges {e1} and {e2} share a vertex; commutation needs disjoint edges")
@@ -105,11 +116,22 @@ def _outcome(check, *args):
     return {**rep, "residual": rep["residual"].hex()}
 
 
+def _assert_same_one_edge_checks(g):
+    """Involution and perimeters on every edge of g match the reference; the outcomes, for counting."""
+    outcomes = []
+    for e in range(g.n_edges):
+        for new, ref in ((check_involution, _ref_involution), (check_perimeters, _ref_perimeters)):
+            got = _outcome(new, g, e)
+            assert got == _outcome(ref, g, e), (new.__name__, g, e)
+            outcomes.append(got)
+    return outcomes
+
+
 def _assert_same(g):
     # the torus's three edges share both vertices, so its pairs all take the refusal path
+    _assert_same_one_edge_checks(g)
     legal = 0
     for e in range(g.n_edges):
-        assert _outcome(check_involution, g, e) == _outcome(_ref_involution, g, e)
         for e2 in range(g.n_edges):
             if e2 == e:
                 continue
@@ -175,3 +197,38 @@ def test_find_isomorphism_matches_the_reference_on_a_seeded_sweep():
                         found += psi is not None
                         missed += psi is None
     assert found > 400 and missed > 400  # the sweep sees both verdicts
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("make,n", [(once_punctured_torus, 3), (tetrahedron, 6)], ids=["torus", "tetrahedron"])
+def test_one_edge_checks_match_the_reference_on_exact_labels(make, n, kind):
+    rng = random.Random(59)
+    for _ in range(20):
+        assert all(isinstance(r, dict) for r in _assert_same_one_edge_checks(make(_typed_labels(rng, n, kind))))
+
+
+def test_one_edge_checks_match_the_reference_on_random_connected_graphs():
+    rng = random.Random(61)
+    outcomes = []
+    for _ in range(40):
+        outcomes += _assert_same_one_edge_checks(_random_connected_graph(rng, 2 * rng.randint(1, 4)))
+    refused = [r for r in outcomes if not isinstance(r, dict)]
+    assert refused and len(refused) < len(outcomes)  # self-loops are refused alike, the rest reported alike
+
+
+def test_one_edge_checks_match_the_reference_where_a_corner_overflows():
+    # torus corners take two contributions each, so a label near the float limit sends one of them to +-inf
+    big = (-1.7e308, -1e308, -0.6e308, 0.0, 0.6e308, 1e308, 1.7e308)
+    outcomes = []
+    for z in [(a, b, c) for a in big for b in big for c in big]:
+        outcomes += _assert_same_one_edge_checks(once_punctured_torus(z))
+    rng = random.Random(67)
+    for _ in range(40):
+        z = [rng.uniform(-2.0, 2.0) for _ in range(6)]
+        z[rng.randrange(6)] = rng.choice(big)
+        z[rng.randrange(6)] = rng.choice(big)
+        outcomes += _assert_same_one_edge_checks(tetrahedron(z))
+    refusals = {r[1] for r in outcomes if not isinstance(r, dict)}
+    assert any(m.endswith("= inf is not a finite number") for m in refusals)
+    assert any(m.endswith("= -inf is not a finite number") for m in refusals)
+    assert sum(isinstance(r, dict) for r in outcomes) > 100

@@ -353,6 +353,22 @@ def test_transport_refuses_a_record_whose_after_is_not_its_flip():
         transport_path(rec, (9, 1, 2, 10))
 
 
+def test_transport_refuses_a_record_whose_edge_is_not_the_flipped_one():
+    # every step of (2, 5) fits the after graph of edge 0's flip, so only the record check sees edge 1
+    g = once_punctured_torus((0.3, -0.7, 1.1))
+    f = flip(g, 0)
+    with pytest.raises(FatGraphError, match="^the record's after graph is not the flip of edge 1$"):
+        transport_path(FlipRecord(1, f.corners, g, f.after, f.rule), (2, 5))
+    assert transport_path(f, (2, 5)) == (0, 5, 0, 2)
+    # a hand-built record's edge passes the edge rule, and a self-loop has no flip to compare with
+    dumbbell = FatGraph([1, 2, 0, 4, 5, 3], [0, 0, 0])
+    with pytest.raises(FatGraphError, match="^edge 0 is a self-loop and cannot be flipped$"):
+        transport_path(FlipRecord(0, (), dumbbell, dumbbell, "anti"), (4,))
+    for edge, message in ((3, "^edge 3 out of range$"), (True, "^edge True is not an integer edge index$")):
+        with pytest.raises(FatGraphError, match=message):
+            transport_path(FlipRecord(edge, f.corners, g, f.after, f.rule), (2, 5))
+
+
 def test_transport_roundtrip():
     # transporting across a flip and back returns a word with the same trace
     rng = random.Random(37)
