@@ -20,7 +20,13 @@ exponent matrices ``M`` and ``N``, in int64 when a bound proves it cannot
 overflow and in numpy's exact object dtype otherwise.  ``omega`` must be a
 ``dim x dim`` table of integers (numpy ints pass; a bool, float or
 ``Fraction`` entry raises ``TypeError``).  ``M`` and ``N`` take the first
-``dim`` fields of each vector, so in ``qmul`` rho never enters.
+``dim`` fields of each vector, so in ``qmul`` rho never enters.  Each
+operand keeps its read-only matrix per ``dim`` (``_matrix``), as it keeps
+its ``.terms`` view, and each table ``omega`` has one kept read-only array
+(``_omega_array``).  ``omega`` is still checked on every call, and the
+array is keyed on the checked entries, all plain ints by then: a key
+never holds ``True``, ``1.0`` or ``Fraction(1)``, which hash and compare
+like ``1``, so a refused table can never read the array of an accepted one.
 
 Keeping exponents in half-units makes every identity exact over Q and
 Z[rho, rho^-1].
@@ -160,51 +166,79 @@ def _dim(dim) -> int:
 
 
 def _omega(omega, dim: int):
-    """The entries of ``omega``, row by row, as ints, and the largest ``|entry|`` (at least 1).
+    """The read-only ``dim x dim`` array of ``omega`` and its largest ``|entry|`` (at least 1).
 
     ``omega`` and its rows must be sequences of length ``dim``, or it would
     drop or misread exponents.  An entry must be ``numbers.Integral`` but not
-    a ``bool``: numpy ints pass, a float or ``Fraction`` is refused.
+    a ``bool``: numpy ints pass, a float or ``Fraction`` is refused.  These
+    checks run on every call, before the kept array is looked up by the
+    checked plain-int entries.
     """
     rows = isinstance(omega, _ROWS) and len(omega) == dim and all(map(isinstance, omega, repeat(_ROWS)))
     if not (rows and {dim}.issuperset(map(len, omega))):
         raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
-    entries = list(chain.from_iterable(omega))
+    entries = tuple(chain.from_iterable(omega))
     if not _INT.issuperset(map(type, entries)):
         for x in entries:
             if not isinstance(x, Integral) or isinstance(x, bool):
                 raise TypeError(f"omega entry {short_repr(x)} is not an int")
-        entries = list(map(int, entries))
-    return entries, max(1, max(map(abs, entries), default=0))
+        entries = tuple(map(int, entries))
+    return _omega_array(entries, dim)
 
 
-def _fields(poly: "ExpPoly", dim: int):
-    """The first ``dim`` fields of each exponent vector, and a bound on their ``|entry|`` (at least 1).
+@functools.lru_cache(maxsize=16)
+def _omega_array(entries: tuple, dim: int):
+    """``_omega``'s array of checked plain-int ``entries``, built once per table: int64 if each fits, else exact."""
+    w = max(1, max(map(abs, entries), default=0))
+    W = np.array(entries, np.int64 if w < _INT64 else object).reshape(dim, dim)
+    W.flags.writeable = False
+    return W, w
 
-    ``poly._b`` bounds the lower fields; the unbounded top field, if among them, is read.
+
+def _matrix(poly: "ExpPoly", dim: int):
+    """The read-only matrix of the first ``dim`` fields of ``poly``'s exponents, and a bound (at least 1) on them.
+
+    ``poly._b`` bounds the lower fields; the unbounded top field, if among
+    them, is read.  The matrix is int64 when the bound fits and exact
+    otherwise.  It is built on the first call for each ``dim`` and kept on
+    ``poly``, like ``.terms``: a quantum element's flat part is read at its
+    ``dim - 1`` lower fields by ``qmul`` and may be read at ``dim`` by
+    ``poisson_bracket``.
     """
+    try:
+        return poly._mats[dim]
+    except AttributeError:
+        poly._mats = {}
+    except KeyError:
+        pass
     rows = [m[:dim] for m in poly.terms]
     bound = poly._b
     if dim and dim == poly.dim:
         bound = max(bound, max((abs(m[-1]) for m in rows), default=0))
-    return rows, max(1, bound)
+    bound = max(1, bound)
+    M = np.array(rows, np.int64 if bound < _INT64 else object).reshape(len(rows), dim)
+    M.flags.writeable = False
+    poly._mats[dim] = M, bound
+    return M, bound
 
 
 def _pairings(f: "ExpPoly", g: "ExpPoly", omega, dim: int) -> list:
     """The one pairing rule: ``K[s][t] = m_s^T omega n_t`` for the ``s``-th term of ``f`` and the ``t``-th of ``g``.
 
-    ``K = M omega N^T`` over the exponent matrices' first ``dim`` columns, so
-    a quantum element's rho never enters.  It runs in int64 when
-    ``dim**2 * max|M| * max|omega| * max|N| < 2**63`` (each maximum at least
-    1), which bounds every entry of the factors, of ``M omega`` and of ``K``;
-    past that, int64 would wrap silently, so it runs in numpy's exact object
-    dtype.  The rows come back as lists of ints, in the terms' order.
+    ``K = M W N^T`` over the operands' kept exponent matrices (``_matrix``,
+    first ``dim`` columns, so a quantum element's rho never enters) and the
+    kept array ``W`` of the checked omega (``_omega``).  It runs in int64
+    when ``dim**2 * max|M| * max|omega| * max|N| < 2**63`` (each maximum at
+    least 1), which bounds every entry of the factors, of ``M W`` and of
+    ``K``; past that, int64 would wrap silently, so all three are cast to
+    numpy's exact object dtype.  The rows come back as lists of ints, in the
+    terms' order.
     """
-    entries, w = _omega(omega, dim)
-    (M, a), (N, b) = _fields(f, dim), _fields(g, dim)
-    dtype = np.int64 if dim * dim * a * w * b < _INT64 else object
-    K = np.array(M, dtype).reshape(len(M), dim) @ np.array(entries, dtype).reshape(dim, dim)
-    return (K @ np.array(N, dtype).reshape(len(N), dim).T).tolist()
+    W, w = _omega(omega, dim)
+    (M, a), (N, b) = _matrix(f, dim), _matrix(g, dim)
+    if dim * dim * a * w * b >= _INT64:
+        M, W, N = M.astype(object), W.astype(object), N.astype(object)
+    return (M @ W @ N.T).tolist()
 
 
 def _rho_split(flat: "ExpPoly"):
@@ -293,7 +327,7 @@ def _path_entries(dim: int, steps) -> tuple:
 class ExpPoly:
     """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
 
-    __slots__ = ("dim", "_packed", "_b", "_view", "_plan")  # set on the first .terms and evaluate
+    __slots__ = ("dim", "_packed", "_b", "_view", "_plan", "_mats")  # set on the first .terms, evaluate and pairing
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.dim = _dim(dim)
@@ -464,10 +498,12 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
 
     m^T omega n comes from the pairing rule ``_pairings``, as in ``qmul``: one
-    matrix product ``K = M omega N^T``, in int64 when ``dim**2 * max|M| *
+    matrix product ``K = M omega N^T`` of both operands' kept exponent
+    matrices and omega's kept array, in int64 when ``dim**2 * max|M| *
     max|omega| * max|N| < 2**63`` and exact otherwise, so a top-field exponent
     of any size pairs exactly.  ``omega`` must be a ``dim x dim`` table of
-    integers; a bool, float or ``Fraction`` entry raises ``TypeError``.
+    integers, checked on every call; a bool, float or ``Fraction`` entry
+    raises ``TypeError``.
     """
     _check(f, g, ExpPoly)
     pairings = _pairings(f, g, omega, f.dim)
@@ -652,12 +688,13 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n.
 
     m^T omega n comes from the pairing rule ``_pairings``, as in
-    ``poisson_bracket``: one matrix product over the first ``dim`` fields, so
-    rho never enters it, in int64 below the bound ``dim**2 * max|M| *
+    ``poisson_bracket``: one matrix product of the flat parts' kept exponent
+    matrices over their first ``dim`` fields, so rho never enters it, and
+    omega's kept array, in int64 below the bound ``dim**2 * max|M| *
     max|omega| * max|N| < 2**63`` and exact past it.  ``omega`` must be a
-    ``dim x dim`` table of integers.  Rho is the top field, so the twist is one
-    subtraction of ``(m^T omega n) * 2**(FIELD_BITS * dim)`` from the key; the
-    bound is the flat product's.
+    ``dim x dim`` table of integers, checked on every call.  Rho is the top
+    field, so the twist is one subtraction of ``(m^T omega n) *
+    2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
     """
     _check(f, g, QExpPoly)
     pairings = _pairings(f.flat, g.flat, omega, f.dim)

@@ -257,13 +257,22 @@ def check_pentagon(g: FatGraph, e1: int, e2: int) -> dict:
 
 
 def check_perimeters(g: FatGraph, e: int) -> dict:
-    """Every face perimeter is invariant under the flip of e: the law once, summed over the plan's face tables."""
+    """Every face perimeter is invariant under the flip of e: the law once, summed over the plan's face tables.
+
+    A perimeter past the float range is refused with ``FatGraphError``, as
+    the label rule refuses a label: it would read as ``inf - inf = nan``.
+    """
     plan = _flip_plan(g.sigma, _edge(g, e))
     z, (faces, faces_after) = _law(plan, g.z), plan[4]
     before_vals = sorted([sum(map(mul, mult, g.z)) for mult in faces])
     after_vals = sorted([sum(map(mul, mult, z)) for mult in faces_after])
-    residual = max(map(abs, map(sub, before_vals, after_vals)))
-    return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
+    try:  # an exact int perimeter past the float range overflows here
+        gaps = list(map(abs, map(sub, before_vals, after_vals)))
+    except OverflowError:
+        gaps = [math.inf]
+    if not all(map(math.isfinite, gaps)):  # max() alone would skip a nan gap after the first
+        raise FatGraphError(f"a face perimeter of labels {short_repr(g.z)} is not a finite number")
+    return float_report("perimeter", max(gaps), _TOL, len(before_vals) == len(after_vals), edge=e)
 
 
 def torus_flip_map(labels):

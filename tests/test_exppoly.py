@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearlab import exppoly
 from shearlab.exppoly import (
     DimensionMismatch,
     ExpPoly,
@@ -336,6 +337,70 @@ def test_an_omega_of_numpy_ints_pairs_like_plain_ints():
         assert list(qmul(a, b, same).flat.terms.items()) == list(qmul(a, b, omega).flat.terms.items())
         limit = classical_limit_commutator(a, b, same)
         assert list(limit.terms.items()) == list(classical_limit_commutator(a, b, omega).terms.items())
+
+
+# -- the kept omega array: each call checks omega again ------------------------------
+
+
+def _unit_entry(omega):
+    """The first ``(i, j)`` with ``omega[i][j] == 1``."""
+    return next((i, j) for i, row in enumerate(omega) for j, x in enumerate(row) if x == 1)
+
+
+def test_one_omega_list_mutated_between_calls_is_read_afresh():
+    omega, (p, q), (a, b) = _tetrahedron_operands()
+    table = [list(row) for row in omega]
+    i, j = _unit_entry(table)
+    # e^{Z_i/2} o e^{Z_j/2} = rho^{-w} e^{(Z_i + Z_j)/2} and {e^{z_i/2}, e^{z_j/2}} = (w/4) e^{(z_i + z_j)/2},
+    # w = omega[i][j]
+    vi, vj = ([int(k == x) for k in range(6)] for x in (i, j))
+    mn = tuple(map(add, vi, vj))
+    units = ((QExpPoly.monomial(vi), QExpPoly.monomial(vj)), (ExpPoly.monomial(vi), ExpPoly.monomial(vj)))
+
+    def twisted(w):
+        return QExpPoly.monomial(mn, LaurentPoly.rho_power(-w)), ExpPoly.monomial(mn, Fraction(w, 4))
+
+    assert (qmul(*units[0], table), poisson_bracket(*units[1], table)) == twisted(1)
+    kept = (qmul(a, b, table), poisson_bracket(p, q, table))
+    table[i][j] = True
+    for x, y, call in ((*units[0], qmul), (a, b, qmul), (p, q, poisson_bracket), (*units[1], poisson_bracket)):
+        with pytest.raises(TypeError, match="^omega entry True is not an int$"):
+            call(x, y, table)
+    table[i][j] = 2
+    assert (qmul(*units[0], table), poisson_bracket(*units[1], table)) == twisted(2)
+    assert poisson_bracket(p, q, table) == _bracket_reference(p, q, table)
+    table[i] = table[i][:-1]
+    for x, y, call in ((a, b, qmul), (p, q, poisson_bracket)):
+        with pytest.raises(DimensionMismatch, match="omega must be 6 x 6"):
+            call(x, y, table)
+    table[i] = list(omega[i])
+    assert (qmul(a, b, table), poisson_bracket(p, q, table)) == kept
+    assert (qmul(*units[0], table), poisson_bracket(*units[1], table)) == twisted(1)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, True, np.float64(1.0)], ids=["Fraction", "float", "bool", "numpy"])
+def test_an_equal_table_of_non_ints_is_refused_after_the_int_table_is_kept(bad):
+    omega, (p, q), (a, b) = _tetrahedron_operands()
+    kept = (qmul(a, b, omega), poisson_bracket(p, q, omega))
+    i, j = _unit_entry(omega)
+    table = _with_row(omega, i, omega[i][:j] + [bad] + omega[i][j + 1 :])
+    assert table == omega and hash(bad) == hash(1)  # as a key, it would alias the kept int table
+    for x, y, call in ((a, b, qmul), (p, q, poisson_bracket), (a, b, classical_limit_commutator)):
+        with pytest.raises(TypeError, match=f"^omega entry {re.escape(repr(bad))} is not an int$"):
+            call(x, y, table)
+    assert (qmul(a, b, omega), poisson_bracket(p, q, omega)) == kept
+
+
+def test_a_numpy_table_and_the_equal_list_share_one_kept_array():
+    omega, (p, q), (a, b) = _tetrahedron_operands()
+    exppoly._omega_array.cache_clear()
+    first = qmul(a, b, np.array(omega)), poisson_bracket(p, q, np.array(omega))
+    assert exppoly._omega_array.cache_info().currsize == 1
+    for same in (omega, [[np.int32(x) for x in row] for row in omega]):
+        got = qmul(a, b, same), poisson_bracket(p, q, same)
+        assert list(got[0].flat.terms.items()) == list(first[0].flat.terms.items())
+        assert list(got[1].terms.items()) == list(first[1].terms.items())
+    assert exppoly._omega_array.cache_info().currsize == 1
 
 
 def test_evaluate():

@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import add, mul
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -477,3 +478,46 @@ def test_dim_0_and_zero_operands_match_the_tuple_ring(dim):
             _same(classical_limit_commutator(qf, qg, omega), _ref_limit(F, G, omega))
     q = QExpPoly(dim, {(0,) * dim: LaurentPoly({5: 2, -2**70: 1})})
     _same(qmul(q, q, omega).flat, _ref_qmul(dict(q.flat.terms), dict(q.flat.terms), omega))
+
+
+# -- one kept exponent matrix per operand and dim ----------------------------------------
+
+
+def _seeded_q(rng, dim, n, top=0):
+    """A seeded ``QExpPoly`` of ``n`` terms; ``top`` is added to every rho exponent."""
+    terms = {}
+    for _ in range(n):
+        m = tuple(rng.randint(-3, 3) for _ in range(dim))
+        terms[m] = LaurentPoly({top + rng.randint(-4, 4): rng.choice((-2, -1, 1, 3))})
+    return QExpPoly(dim, terms)
+
+
+@pytest.mark.parametrize("top", [0, 2**40, 10**30], ids=["int64", "cast", "object"])
+def test_one_operand_keeps_its_matrices_across_omegas_and_dims(top):
+    """One ``QExpPoly`` reused with two omegas at dim 6, its flat part at dim 7, then past the int64 bound.
+
+    Its rho field is the flat part's top field: ``qmul`` reads the first 6
+    fields and never sees it, ``poisson_bracket`` on the flat part reads all
+    7.  A rho exponent of 2**40 keeps the 7-field matrix in int64 but pairs
+    past 2**63, so the bracket must cast it; one of 10**30 keeps it exact.
+    """
+    rng = random.Random(2601)
+    dim = 6
+    x = _seeded_q(rng, dim, 7, top)
+    others = [_seeded_q(rng, dim, n) for n in (1, 2, 7)]
+    for omega in (_omega(dim), _full_omega(dim), _omega(dim), _wide(_omega(dim))):
+        for y in others + [x]:
+            for f, g in ((x, y), (y, x)):
+                _same(qmul(f, g, omega).flat, _ref_qmul(dict(f.flat.terms), dict(g.flat.terms), omega))
+    flat, kept = x.flat, exppoly._matrix(x.flat, dim)
+    assert kept[0].dtype == np.int64 and not kept[0].flags.writeable
+    for omega in (_omega(dim + 1), _full_omega(dim + 1)):
+        for y in (flat, others[2].flat):
+            _same(poisson_bracket(flat, y, omega), _ref_bracket(dict(flat.terms), dict(y.terms), omega))
+            _same(poisson_bracket(y, flat, omega), _ref_bracket(dict(y.terms), dict(flat.terms), omega))
+    whole = exppoly._matrix(flat, dim + 1)
+    assert whole[0].dtype == (object if top > 2**62 else np.int64) and not whole[0].flags.writeable
+    # each matrix is built once and kept, the int64 ones never cast in place
+    assert exppoly._matrix(flat, dim) is kept and exppoly._matrix(flat, dim + 1) is whole
+    assert kept[0].dtype == np.int64 and [m[:dim] for m in flat.terms] == list(map(tuple, kept[0].tolist()))
+    assert list(map(tuple, whole[0].tolist())) == list(flat.terms)

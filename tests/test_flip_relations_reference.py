@@ -6,16 +6,20 @@ did, and builds the flipped graph and its perimeters as ``check_perimeters``
 once did.  The library now builds them from one flip-word walker, one label
 law and one label-gap helper; every residual must match bit for bit, and every
 verdict and refusal must match exactly, on seeded, exact and overflowing
-labels and on the graphs of a long flip walk.
+labels and on the graphs of a long flip walk.  One rule is newer than that
+form: a face perimeter past the float range is refused with the label rule's
+``FatGraphError``, where the earlier form raised ``OverflowError``, reported a
+``nan`` residual, or passed because ``max`` skipped a ``nan`` gap.
 """
 
+import math
 import random
 from fractions import Fraction
 from operator import sub
 
 import pytest
 
-from shearlab.fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, tetrahedron
+from shearlab.fatgraph import FatGraph, FatGraphError, edge_of, once_punctured_torus, opposite, short_repr, tetrahedron
 from shearlab.flips import check_commutation, check_involution, check_pentagon, check_perimeters, find_isomorphism, flip
 from shearlab.geodesics import float_report
 
@@ -73,10 +77,19 @@ def _ref_involution(g, e):
     return float_report("involution", residual, _TOL, sigma_equal, edge=e, sigma_equal=sigma_equal)
 
 
+def _float_finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _ref_perimeters(g, e):
     after = flip(g, e).after
     before_vals = sorted([v for _, v in g.perimeters()])
     after_vals = sorted([v for _, v in after.perimeters()])
+    if not all(map(_float_finite, before_vals + after_vals)):
+        raise FatGraphError(f"a face perimeter of labels {short_repr(g.z)} is not a finite number")
     residual = max(map(abs, map(sub, before_vals, after_vals)))
     return float_report("perimeter", residual, _TOL, len(before_vals) == len(after_vals), edge=e)
 
@@ -232,3 +245,20 @@ def test_one_edge_checks_match_the_reference_where_a_corner_overflows():
     assert any(m.endswith("= inf is not a finite number") for m in refusals)
     assert any(m.endswith("= -inf is not a finite number") for m in refusals)
     assert sum(isinstance(r, dict) for r in outcomes) > 100
+
+
+@pytest.mark.parametrize(
+    "make,z,e",
+    [
+        (once_punctured_torus, (0, 10**308, 10**308), 0),  # int - float raised a bare OverflowError
+        (once_punctured_torus, (0.0, 1e308, 1e308), 0),  # inf - inf: residual nan
+        (tetrahedron, (1e308, 1e308, 0, 0, 0, 0), 0),  # one face at inf: max skipped its nan gap, residual 0.0
+    ],
+    ids=["int", "float", "one-face"],
+)
+def test_a_perimeter_past_the_float_range_is_refused(make, z, e):
+    g = make(z)
+    with pytest.raises(FatGraphError, match=r"^a face perimeter of labels \(.*\) is not a finite number$"):
+        check_perimeters(g, e)
+    assert _outcome(check_perimeters, g, e) == _outcome(_ref_perimeters, g, e)
+    assert check_involution(g, e)["equal"]  # the labels themselves are finite, and flip back
