@@ -2,8 +2,14 @@
 
 An ``ExpPoly`` is a finite sum ``sum_m c_m exp((m . z)/2)`` where ``m`` runs
 over integer exponent vectors (units of z/2) and the coefficients ``c_m`` are
-ints; a ``Fraction`` appears only where the bracket's 1/4 or a scalar such as
-Goldman's 1/2 leaves a denominator.  ``LaurentPoly`` is its one-variable case,
+rationals, stored as int numerators ``n_m`` over one positive int ``den`` per
+element: ``c_m = n_m / den``.  ``den`` is 1 unless the bracket's 1/4 or a
+scalar such as Goldman's 1/2 leaves a denominator, and ``_new`` keeps
+``gcd(den, *n) == 1``, so the form is canonical and ``==`` compares the
+numerator dicts and ``den``.  The arithmetic is in ints: a product
+multiplies the denominators, a sum of two elements with different ones
+rescales both to their lcm.  ``.terms`` decodes ``Fraction(n_m, den)``,
+an ``int`` where it divides.  ``LaurentPoly`` is its one-variable case,
 a Laurent polynomial in the formal unit ``rho`` (``rho**4 = q``).  A quantum
 element ``QExpPoly`` is one ``ExpPoly`` with rho as its last exponent: the
 term ``c rho^r e^{m.Z/2}`` is stored under the exponent vector ``m + (r,)``.
@@ -66,7 +72,7 @@ import struct
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
-from math import exp
+from math import exp, gcd, lcm
 from numbers import Integral
 from operator import mul
 from types import MappingProxyType
@@ -91,6 +97,12 @@ def _as_coefficient(c) -> int | Fraction:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
+
+
+def _value(n: int, den: int) -> int | Fraction:
+    """The public coefficient ``n / den``: an ``int`` where ``den`` divides ``n``, else a ``Fraction``."""
+    c = Fraction(n, den)
+    return c.numerator if c.denominator == 1 else c
 
 
 class DimensionMismatch(ValueError):
@@ -262,12 +274,23 @@ def _check(f, g, ring=None):
         raise DimensionMismatch(f"dimensions {f.dim} and {g.dim} differ")
 
 
-def _new(cls, dim: int, terms: dict, bound: int):
-    """An element of ``cls`` on clean packed terms (no zero coefficients); no view yet."""
+def _new(cls, dim: int, terms: dict, bound: int, den: int = 1):
+    """An element of ``cls`` on clean packed numerators (no zeros) over ``den > 0``; no view yet.
+
+    The one place that reduces: past ``den == 1``, which needs no gcd, the
+    numerators and ``den`` are divided by their gcd, so ``gcd(den, *numerators)
+    == 1`` and each element has one form (zero has ``den == 1``).
+    """
+    if den != 1:
+        g = gcd(den, *terms.values()) if terms else den
+        if g != 1:
+            den //= g
+            terms = {k: n // g for k, n in terms.items()}
     out = object.__new__(cls)
     out.dim = dim
     out._packed = terms
     out._b = bound
+    out._den = den
     return out
 
 
@@ -325,9 +348,10 @@ def _path_entries(dim: int, steps) -> tuple:
 
 
 class ExpPoly:
-    """Finite map from integer exponent vectors to exact (int or Fraction) coefficients."""
+    """Finite map from integer exponent vectors to exact (int or Fraction) coefficients, stored over one ``_den``."""
 
-    __slots__ = ("dim", "_packed", "_b", "_view", "_plan", "_mats")  # set on the first .terms, evaluate and pairing
+    # _view, _plan and _mats are set on the first .terms, evaluate and pairing
+    __slots__ = ("dim", "_packed", "_b", "_den", "_view", "_plan", "_mats")
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.dim = _dim(dim)
@@ -339,8 +363,11 @@ class ExpPoly:
             c = _as_coefficient(c)
             if c:
                 clean[_pack(m)] = c
-        self._packed = clean
+        # the lcm of reduced denominators leaves numerators with no common factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._packed = {k: c.numerator * (den // c.denominator) for k, c in clean.items()} if den != 1 else clean
         self._b = bound
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -363,34 +390,47 @@ class ExpPoly:
     def _scalar(self, c) -> "ExpPoly":
         """The constant ``c`` as an element of this type and dimension."""
         c = _as_coefficient(c)
-        return _new(type(self), self.dim, {0: c} if c else {}, 0)
+        return _new(type(self), self.dim, {0: c.numerator} if c else {}, 0, c.denominator)
 
     @property
     def terms(self) -> Mapping[tuple, int | Fraction]:
-        """Read-only view from each exponent tuple to its coefficient, decoded on first read and kept."""
+        """Read-only view from each exponent tuple to its coefficient ``n / den``, decoded on first read and kept."""
         try:
             return self._view
         except AttributeError:
-            unpack = _unpacker(self.dim)
-            view = self._view = MappingProxyType({unpack(k): c for k, c in self._packed.items()})
+            unpack, den = _unpacker(self.dim), self._den
+            if den == 1:
+                view = {unpack(k): n for k, n in self._packed.items()}
+            else:
+                view = {unpack(k): _value(n, den) for k, n in self._packed.items()}
+            view = self._view = MappingProxyType(view)
             return view
 
     # -- ring structure ----------------------------------------------------
 
     def _sum(self, other, sign):
-        """``self + other`` (sign 1) or ``self - other`` (sign -1) in one pass; new keys follow in ``other``'s order."""
+        """``self + other`` (sign 1) or ``self - other`` (sign -1) in one pass; new keys follow in ``other``'s order.
+
+        Equal denominators add as they are; otherwise both sides are rescaled to their lcm.
+        """
         if not isinstance(other, ExpPoly):
             other = self._scalar(other)
         _check(self, other)
-        terms = dict(self._packed)
+        a, b = self._den, other._den
+        if a == b:
+            den, terms, right = a, dict(self._packed), other._packed.items()
+        else:
+            den = lcm(a, b)
+            terms = {k: n * (den // a) for k, n in self._packed.items()}
+            right = [(k, n * (den // b)) for k, n in other._packed.items()]
         get = terms.get
-        for k, c in other._packed.items():
+        for k, c in right:
             s = get(k, 0) + c if sign > 0 else get(k, 0) - c
             if s:
                 terms[k] = s
             else:
                 del terms[k]
-        return _new(type(self), self.dim, terms, max(self._b, other._b))
+        return _new(type(self), self.dim, terms, max(self._b, other._b), den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -399,7 +439,7 @@ class ExpPoly:
         return self.__add__(other)
 
     def __neg__(self):
-        return _new(type(self), self.dim, {k: -c for k, c in self._packed.items()}, self._b)
+        return _new(type(self), self.dim, {k: -c for k, c in self._packed.items()}, self._b, self._den)
 
     def __sub__(self, other):
         """The merge ``__add__`` makes, subtracting; the terms keep the order of ``self + (-other)``."""
@@ -411,8 +451,9 @@ class ExpPoly:
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
             c = _as_coefficient(other)
-            terms = {k: _as_coefficient(a * c) for k, a in self._packed.items()} if c else {}
-            return _new(type(self), self.dim, terms, self._b)
+            n = c.numerator
+            terms = {k: a * n for k, a in self._packed.items()} if n else {}
+            return _new(type(self), self.dim, terms, self._b, self._den * c.denominator)
         _check(self, other)
         bound = _guard(self._b + other._b)
         terms = {}
@@ -426,7 +467,7 @@ class ExpPoly:
                     terms[k] = s
                 else:
                     del terms[k]
-        return _new(type(self), self.dim, terms, bound)
+        return _new(type(self), self.dim, terms, bound, self._den * other._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -436,7 +477,7 @@ class ExpPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = self._scalar(other)
-        return self.dim == other.dim and self._packed == other._packed
+        return self.dim == other.dim and self._den == other._den and self._packed == other._packed
 
     def __bool__(self):
         return bool(self._packed)
@@ -454,13 +495,17 @@ class ExpPoly:
         """Substitute real label values and return the real value.
 
         Terms are summed in insertion order, each as
-        ``float(c) * exp((m . z) / 2)`` with the dot product summed left to
-        right.  That order and that arithmetic are part of the output
-        contract: CLI reports and the flip-walk traces depend on the exact
-        float this returns.  The ``(float(c), m)`` pairs are planned on the
-        first call and cached.  For all-float values the plan's ``m`` is in
-        floats, which ``m_i * z_i`` converts it to anyway (a vector with an
-        entry past 2**53 stays in ints, to convert or overflow only there).
+        ``float(c) * exp((m . z) / 2)`` with the dot product taken by the
+        built-in ``sum``.  That order and that arithmetic are part of the
+        output contract: CLI reports and the flip-walk traces depend on the
+        exact float this returns.  ``sum`` adds floats left to right before
+        Python 3.12 and with compensated summation from 3.12 on, so the last
+        bits of a dot product, and of the result, can differ between those
+        interpreters (never between runs on one).  The ``(float(c), m)``
+        pairs are planned on the first call and cached.  For all-float values
+        the plan's ``m`` is in floats, which ``m_i * z_i`` converts it to
+        anyway (a vector with an entry past 2**53 stays in ints, to convert or
+        overflow only there).
         """
         if len(z_values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} values, got {len(z_values)}")
@@ -495,7 +540,7 @@ class ExpPoly:
 
 
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
-    """Edge-form Poisson bracket extended to exponentials by Leibniz; one /4 per output term.
+    """Edge-form Poisson bracket extended to exponentials by Leibniz, over the denominator ``4 d_f d_g``.
 
     m^T omega n comes from the pairing rule ``_pairings``, as in ``qmul``: one
     matrix product ``K = M omega N^T`` of both operands' kept exponent
@@ -521,7 +566,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return _new(type(f), f.dim, {k: s // 4 if not s % 4 else Fraction(s, 4) for k, s in terms.items()}, bound)
+    return _new(type(f), f.dim, terms, bound, 4 * f._den * g._den)
 
 
 class LaurentPoly(ExpPoly):
@@ -554,17 +599,17 @@ class LaurentPoly(ExpPoly):
 
     def star(self) -> "LaurentPoly":
         """The involution rho -> rho^{-1}."""
-        return _new(type(self), self.dim, {-n: c for n, c in self._packed.items()}, 0)
+        return _new(type(self), self.dim, {-n: c for n, c in self._packed.items()}, 0, self._den)
 
     def at_one(self) -> int | Fraction:
-        """Specialize rho = 1; an ``int`` unless a coefficient is a ``Fraction``."""
-        return sum(self._packed.values())
+        """Specialize rho = 1; an ``int`` unless the sum of the coefficients is not."""
+        return _value(sum(self._packed.values()), self._den)
 
     def __repr__(self):
         if not self._packed:
             return "0"
         parts = []
-        for n, c in sorted(self._packed.items()):
+        for (n,), c in sorted(self.terms.items()):
             if n == 0:
                 parts.append(str(c))
             else:
@@ -587,7 +632,7 @@ class QExpPoly:
             m = _exponents(m, dim)
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)
-            for r, a in c._packed.items():
+            for (r,), a in c.terms.items():
                 flat[m + (r,)] = a
         self.flat = ExpPoly(dim + 1, flat)
 
@@ -619,15 +664,19 @@ class QExpPoly:
 
     @property
     def terms(self) -> Mapping[tuple, LaurentPoly]:
-        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built on first read and kept."""
+        """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built on first read and kept.
+
+        Each coefficient takes the flat part's numerators over its ``den`` and is reduced on its own.
+        """
         try:
             return self._view
         except AttributeError:
             grouped = {}
             for low, r, c in _rho_split(self.flat):
                 grouped.setdefault(low, {})[r] = c
-            unpack = _unpacker(self.dim)
-            view = self._view = MappingProxyType({unpack(k): _new(LaurentPoly, 1, cs, 0) for k, cs in grouped.items()})
+            unpack, den = _unpacker(self.dim), self.flat._den
+            view = {unpack(k): _new(LaurentPoly, 1, cs, 0, den) for k, cs in grouped.items()}
+            view = self._view = MappingProxyType(view)
             return view
 
     def __add__(self, other):
@@ -664,14 +713,14 @@ class QExpPoly:
         sums = {}
         for low, _, c in _rho_split(self.flat):
             sums[low] = sums.get(low, 0) + c
-        terms = {k: _as_coefficient(c) for k, c in sums.items() if c}
-        return _new(ExpPoly, self.dim, terms, self.flat._b)
+        terms = {k: c for k, c in sums.items() if c}
+        return _new(ExpPoly, self.dim, terms, self.flat._b, self.flat._den)
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
         flat, shift = self.flat, FIELD_BITS * self.dim
         terms = {low - (r << shift): c for low, r, c in _rho_split(flat)}
-        return QExpPoly._of(_new(ExpPoly, flat.dim, terms, flat._b))
+        return QExpPoly._of(_new(ExpPoly, flat.dim, terms, flat._b, flat._den))
 
     def __repr__(self):
         if not self.flat:
@@ -713,7 +762,7 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return QExpPoly._of(_new(ExpPoly, f.flat.dim, terms, bound))
+    return QExpPoly._of(_new(ExpPoly, f.flat.dim, terms, bound, f.flat._den * g.flat._den))
 
 
 def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
@@ -721,7 +770,7 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
 
     Requires rho-free inputs; the result equals the Poisson bracket of the
     rho = 1 specializations.  Each rho^r contributes -r/8, read off the top
-    field of the commutator's keys in one pass.
+    field of the commutator's keys in one pass: the int sums go over ``8 den``.
     """
     _check(f, g, QExpPoly)
     if not (f.is_rho_free() and g.is_rho_free()):
@@ -730,5 +779,4 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     sums = {}
     for low, r, c in _rho_split(comm):
         sums[low] = sums.get(low, 0) - r * c
-    terms = {k: _as_coefficient(Fraction(s, 8)) for k, s in sums.items()}
-    return _new(ExpPoly, f.dim, {k: c for k, c in terms.items() if c}, comm._b)
+    return _new(ExpPoly, f.dim, {k: s for k, s in sums.items() if s}, comm._b, 8 * comm._den)

@@ -17,6 +17,7 @@ are restored at the end.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -42,8 +43,8 @@ def _dart(d) -> int:
     return d
 
 
-def _steps(g: FatGraph, path) -> list:
-    """Validate a path word once: its ``(edge, left turn)`` step for each dart.
+def _steps(g: FatGraph, path) -> tuple:
+    """Validate a path word once: the tuple of its ``(edge, left turn)`` steps, one per dart.
 
     The only word check: every word reader calls it once per word.  The turn
     after dart d is left if the next dart is sigma(opp(d)) and right if it is
@@ -65,7 +66,7 @@ def _steps(g: FatGraph, path) -> list:
         if nxt != left and nxt != right:
             raise PathError(f"invalid step {k}: {d} -> {nxt} is not joined at a vertex")
         steps.append((edge_of(d), nxt == left))
-    return steps
+    return tuple(steps)
 
 
 def turn_sequence(g: FatGraph, path) -> list:
@@ -106,6 +107,11 @@ def mat_eq(A, B) -> bool:
     return all(A[i][j] == B[i][j] for i in range(2) for j in range(2))
 
 
+# A word's entries depend only on the edge count and its validated steps, and
+# are never mutated, so one compile serves every repeat of the word.
+_compiled = functools.lru_cache(maxsize=64)(_path_entries)
+
+
 def path_matrix(g: FatGraph, path):
     """T_n X_{e_n} ... T_1 X_{e_1} for the path's darts and turns.
 
@@ -118,8 +124,13 @@ def path_matrix(g: FatGraph, path):
     integer coefficients that never cancel.  The off-diagonal signs are restored
     at the end, so the trace has positive integer coefficients (Fock) and needs
     no PSL sign fix.
+
+    ``_steps`` checks the word on every call; only then are the entries read
+    from a small LRU cache of compiled words, keyed on the edge count and the
+    validated steps, so a bool dart never reaches a key.  Repeats of a word
+    share its entries.
     """
-    return _path_entries(g.n_edges, _steps(g, path))
+    return _compiled(g.n_edges, _steps(g, path))
 
 
 def geodesic_function(g: FatGraph, path) -> ExpPoly:

@@ -107,6 +107,11 @@ def _float(x) -> float:
         raise HyperbolicError(f"entry {short_repr(x)} is too large for a float map") from None
 
 
+def _past_float(*values) -> HyperbolicError:
+    """The refusal of a float step that overflowed on exact input: it names the largest of the ``values`` it read."""
+    return HyperbolicError(f"entry {short_repr(max(values, key=abs))} is past the float range")
+
+
 class MoebiusMap:
     """Real 2x2 determinant-one matrix modulo global sign."""
 
@@ -198,8 +203,11 @@ class MoebiusMap:
             return UhpPoint.infinity(), _boundary(b, d - a)
         if kind == "parabolic":
             return (_boundary(a - d, 2 * c),) * 2
-        amd = float(a - d)
-        s = amd + math.copysign(math.sqrt(float(self.trace * self.trace - 4)), amd)
+        try:
+            amd, disc = float(a - d), float(self.trace * self.trace - 4)
+        except OverflowError:
+            raise _past_float(a, d) from None
+        s = amd + math.copysign(math.sqrt(disc), amd)
         if s == 0:  # a == d, and the exact discriminant rounds to 0.0
             raise HyperbolicError(f"the discriminant of {short_repr(self)} is below the float range")
         far, near = _boundary(s, 2 * c), _boundary(-2 * b, s)
@@ -209,23 +217,34 @@ class MoebiusMap:
         """Geodesic translation length l with |Tr| = 2 cosh(l/2)."""
         if self.classify() != "hyperbolic":
             raise HyperbolicError("translation length requires a hyperbolic map")
-        return 2.0 * math.acosh(abs(float(self.trace)) / 2.0)
+        try:
+            trace = float(self.trace)
+        except OverflowError:
+            raise _past_float(self.a, self.d) from None
+        return 2.0 * math.acosh(abs(trace) / 2.0)
 
 
 def apply(m: MoebiusMap, z: UhpPoint) -> UhpPoint:
+    """``m`` applied to ``z``; exact where the map and the point are, else in floats.
+
+    An exact entry or coordinate too large for a float step raises ``HyperbolicError`` naming it.
+    """
     a, b, c, d = m.entries()
     if z.at_infinity:
         if abs(c) <= _tol(c):
             return UhpPoint.infinity()
         return UhpPoint.boundary(a / c)
-    if z.is_interior:
-        fa, fb, fc, fd = (float(x) for x in (a, b, c, d))
-        w = (fa * z.as_complex() + fb) / (fc * z.as_complex() + fd)
-        return UhpPoint.interior(w.real, w.imag)
-    den = c * z.x + d
+    try:
+        if z.is_interior:
+            fa, fb, fc, fd = (float(x) for x in (a, b, c, d))
+            w = (fa * z.as_complex() + fb) / (fc * z.as_complex() + fd)
+            return UhpPoint.interior(w.real, w.imag)
+        num, den = a * z.x + b, c * z.x + d
+    except OverflowError:
+        raise _past_float(a, b, c, d, z.x, z.y) from None
     if abs(den) <= _tol(den):
         return UhpPoint.infinity()
-    return UhpPoint.boundary((a * z.x + b) / den)
+    return UhpPoint.boundary(num / den)
 
 
 def distance(z: UhpPoint, w: UhpPoint) -> float:

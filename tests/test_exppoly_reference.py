@@ -245,7 +245,73 @@ def test_classical_limit_reads_the_rho_field(dim, data):
     comm = qmul(qf, qg, omega) - qmul(qg, qf, omega)
     # the earlier form: regroup by exponent vector, then -r/8 per rho^r
     ref = {m: Fraction(sum(-r * c for (r,), c in cs.terms.items()), 8) for m, cs in comm.terms.items()}
-    _same(classical_limit_commutator(qf, qg, omega), {m: c for m, c in ref.items() if c})
+    limit = classical_limit_commutator(qf, qg, omega)
+    _same(limit, {m: c for m, c in ref.items() if c})
+    _reduced(limit)
+
+
+# -- int numerators over one denominator ----------------------------------------------
+
+
+def _reduced(poly):
+    """``poly`` is stored as int numerators over one positive ``den`` with ``gcd(den, *numerators) == 1``.
+
+    Its ``.terms`` read each ``Fraction(n, den)`` in order, an ``int`` wherever it divides.
+    """
+    den, nums = poly._den, list(poly._packed.values())
+    assert type(den) is int and den > 0 and all(type(n) is int and n for n in nums)
+    assert math.gcd(den, *nums) == 1
+    assert list(poly.terms.values()) == [Fraction(n, den) for n in nums]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_denominator_per_element_matches_the_tuple_ring(dim, data):
+    f, g, h = (data.draw(_polys(dim)) for _ in range(3))
+    F, G, H = dict(f.terms), dict(g.terms), dict(h.terms)
+    omega = _omega(dim)
+    fg = poisson_bracket(f, g, omega)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        (fg, _ref_bracket(F, G, omega)),
+        (poisson_bracket(fg, h, omega), _ref_bracket(_ref_bracket(F, G, omega), H, omega)),
+        (half * f * 2, F),
+        (f * third + f * Fraction(2, 3), F),
+        (fg * h - g * third, _ref_sub(_ref_mul(_ref_bracket(F, G, omega), H), {m: c * third for m, c in G.items()})),
+    ]
+    for poly, ref in cases:
+        _same(poly, ref)
+        _reduced(poly)
+    assert half * f * 2 == f and f * third + f * Fraction(2, 3) == f
+    # == is the equality of the .terms values, however each side was reached
+    polys = [f, g, h] + [poly for poly, _ in cases] + [ExpPoly(dim, F), f * half, g * 2 * half]
+    for x in polys:
+        for y in polys:
+            assert (x == y) == (dict(x.terms) == dict(y.terms))
+    c = data.draw(_coeff)
+    assert (ExpPoly.const(dim, c) == c) and (ExpPoly.const(dim, c) * 3 == 3 * c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=_laurents, k=_coeff)
+def test_laurent_at_one_and_the_coefficients_of_a_qexppoly_are_reduced(c, k):
+    for x in (c, c * k, c * Fraction(1, 3) + c * Fraction(2, 3), c.star()):
+        _reduced(x)
+        s = x.at_one()
+        assert s == sum(x.terms.values()) and (type(s) is int or s.denominator > 1)
+    # each LaurentPoly coefficient is reduced on its own, not over the flat part's den
+    q = QExpPoly(2, {(1, 0): c, (0, 1): LaurentPoly({1: Fraction(1, 4), -1: 3}), (1, 1): k})
+    omega = [[0, 1], [-1, 0]]
+    qq = qmul(q, q.scale(Fraction(1, 2)), omega)
+    ref = _ref_qmul(dict(q.flat.terms), {m: a * Fraction(1, 2) for m, a in q.flat.terms.items()}, omega)
+    _same(qq.flat, ref)
+    for x in (q, qq, qq.star(), qq - q):
+        for m, lp in x.terms.items():
+            _reduced(lp)
+            assert dict(lp.terms) == {m2[-1:]: a for m2, a in x.flat.terms.items() if m2[:-1] == m}
+        _reduced(x.at_rho_one())
 
 
 # -- the field guard ------------------------------------------------------------------

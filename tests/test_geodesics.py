@@ -260,6 +260,51 @@ def test_path_matrix_keeps_the_shift_merge_term_order_on_random_surfaces():
     assert len(surfaces) >= 5
 
 
+# -- one compile per word --------------------------------------------------------
+
+
+def test_a_word_compiled_twice_has_equal_entries():
+    rng = random.Random(53)
+    for g in (TORUS, TET):
+        for _ in range(20):
+            p = random_closed_path(g, rng, 2, 12)
+            first, again = path_matrix(g, p), path_matrix(g, list(p))
+            assert mat_eq(first, again) and mat_eq(again, _reference_path_matrix(g, p))
+            for x, y in zip(first[0] + first[1], again[0] + again[1]):
+                assert list(x.terms.items()) == list(y.terms.items())
+
+
+def test_a_cached_word_does_not_admit_a_bool_dart():
+    path_matrix(TORUS, (0, 5))
+    for word in ((False, 5), (0, True), [0.0, 5]):
+        with pytest.raises(PathError, match="is not an integer dart index"):
+            path_matrix(TORUS, word)
+    assert mat_eq(path_matrix(TORUS, (0, 5)), _reference_path_matrix(TORUS, (0, 5)))
+
+
+def _joined(g, path):
+    """The word rule from the dart successors alone: each next dart is a left or right turn."""
+    return all(path[(k + 1) % len(path)] in next_darts(g, d) for k, d in enumerate(path))
+
+
+def test_a_word_is_checked_on_each_graph_with_the_same_edge_count():
+    # the flips of the torus share its edge count, so its compiled words share their cache keys
+    graphs = [TORUS] + [flips.flip(TORUS, e).after for e in range(3)]
+    words = [TORUS_A, TORUS_B, TORUS_ABINV, TORUS_HOLE, (1, 4), (3, 0)]
+    seen = set()
+    for _ in range(2):
+        for g in graphs:
+            for w in words:
+                if _joined(g, w):
+                    assert mat_eq(path_matrix(g, w), _reference_path_matrix(g, w))
+                    seen.add(True)
+                else:
+                    with pytest.raises(PathError):
+                        path_matrix(g, w)
+                    seen.add(False)
+    assert seen == {True, False}
+
+
 class _Steps(list):
     """A step list that counts the passes made over it."""
 

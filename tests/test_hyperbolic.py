@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shearlab.fatgraph import short_repr
 from shearlab.hyperbolic import (
     HyperbolicError,
     MoebiusMap,
@@ -354,6 +355,33 @@ def test_a_discriminant_below_the_float_range_is_refused():
     assert m.classify() == "hyperbolic"
     with pytest.raises(HyperbolicError, match="discriminant .* is below the float range"):
         m.fixed_points()
+
+
+_HUGE = "^entry " + re.escape(short_repr(Fraction(10**400))) + " is past the float range$"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda: MoebiusMap(10**400, 0, 0, Fraction(1, 10**400)).translation_length(),
+        lambda: MoebiusMap(10**400, 0, 1, Fraction(1, 10**400)).fixed_points(),
+        lambda: apply(MoebiusMap(1, 0, 10**400, 1), UhpPoint.boundary(0.5)),
+        lambda: apply(MoebiusMap(1, 0, 10**400, 1), UhpPoint.interior(0, 1)),
+    ],
+    ids=["translation-length", "fixed-points", "apply-boundary", "apply-interior"],
+)
+def test_a_float_step_past_the_float_range_names_the_entry(step):
+    with pytest.raises(HyperbolicError, match=_HUGE):
+        step()
+
+
+def test_exact_steps_on_huge_entries_stay_exact():
+    m = MoebiusMap(1, 0, 10**400, 1)
+    assert apply(m, UhpPoint.boundary(Fraction(1, 2))) == UhpPoint.boundary(Fraction(1, 10**400 + 2))
+    assert apply(m, UhpPoint.infinity()) == UhpPoint.boundary(Fraction(1, 10**400))
+    assert apply(m, UhpPoint.boundary(-Fraction(1, 10**400))).at_infinity
+    # a float step on small entries of a map with a huge one still runs
+    assert MoebiusMap(2, 10**400, Fraction(1, 10**400), 1).translation_length() == 2.0 * math.acosh(1.5)
 
 
 @pytest.mark.parametrize(
