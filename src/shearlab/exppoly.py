@@ -49,7 +49,8 @@ pair.  The top field has no field above it to carry into, so it is
 unbounded.  That is where ``QExpPoly`` keeps rho: ``qmul``, ``star`` and
 ``scale`` write it by adding a multiple of ``2**(FIELD_BITS * dim)``, and
 ``_rho_split`` is the one place that reads it back, splitting a key into
-``key(m)`` and ``r``.  A ``LaurentPoly`` key is its rho exponent.
+``key(m)`` and ``r``.  A ``LaurentPoly`` key is its rho exponent, a one-field
+key whose top field is rho, so one reflection ``_starred`` stars both.
 
 The guard.  Every element carries a bound on ``|m_i|`` over its lower
 fields: the maximum at construction, the sum of both bounds for a product,
@@ -63,6 +64,7 @@ view, so a vector outside the fields is simply absent.
 
 Exponents are plain ints; a float or a bool raises ``TypeError``.  ``.terms``
 is a read-only view keyed by exponent tuples, decoded on first read and kept.
+``ExpPoly.terms`` is the one decoder: ``QExpPoly.terms`` groups it by rho.
 """
 
 from __future__ import annotations
@@ -97,12 +99,6 @@ def _as_coefficient(c) -> int | Fraction:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
-
-
-def _value(n: int, den: int) -> int | Fraction:
-    """The public coefficient ``n / den``: an ``int`` where ``den`` divides ``n``, else a ``Fraction``."""
-    c = Fraction(n, den)
-    return c.numerator if c.denominator == 1 else c
 
 
 class DimensionMismatch(ValueError):
@@ -266,6 +262,23 @@ def _rho_split(flat: "ExpPoly"):
         yield k - (r << shift), r, c
 
 
+def _starred(flat: "ExpPoly") -> "ExpPoly":
+    """``flat`` with rho -> rho^{-1}: each key's top field negated, the whole key of a ``LaurentPoly``."""
+    shift = FIELD_BITS * (flat.dim - 1)
+    return _new(type(flat), flat.dim, {low - (r << shift): c for low, r, c in _rho_split(flat)}, flat._b, flat._den)
+
+
+def _render(terms: Mapping, term) -> str:
+    """The repr of a ``.terms`` view: ``"0"`` if empty, else ``term(m, c)`` of each sorted term joined by `` + ``."""
+    return " + ".join(term(m, c) for m, c in sorted(terms.items())) if terms else "0"
+
+
+def _exp(m: tuple, var: str) -> str:
+    """``exp((1*z0 + -1*z1)/2)`` for ``m = (1, -1)`` and ``var = "z"``; ``""`` for a zero vector."""
+    combo = " + ".join(f"{mi}*{var}{i}" for i, mi in enumerate(m) if mi)
+    return f"exp(({combo})/2)" if combo else ""
+
+
 def _check(f, g, ring=None):
     """Refuse a dimension mismatch and, given a ``ring`` class, an operand of another class (naming both)."""
     if ring is not None and not (isinstance(f, ring) and isinstance(g, ring)):
@@ -402,7 +415,7 @@ class ExpPoly:
             if den == 1:
                 view = {unpack(k): n for k, n in self._packed.items()}
             else:
-                view = {unpack(k): _value(n, den) for k, n in self._packed.items()}
+                view = {unpack(k): _as_coefficient(Fraction(n, den)) for k, n in self._packed.items()}
             view = self._view = MappingProxyType(view)
             return view
 
@@ -527,16 +540,7 @@ class ExpPoly:
         return [{"m": list(m), "c": [c.numerator, c.denominator]} for m, c in self.sorted_terms()]
 
     def __repr__(self):
-        if not self._packed:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            combo = " + ".join(f"{mi}*z{i}" for i, mi in enumerate(m) if mi)
-            if combo:
-                parts.append(f"{c} * exp(({combo})/2)")
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
+        return _render(self.terms, lambda m, c: f"{c} * {e}" if (e := _exp(m, "z")) else str(c))
 
 
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
@@ -599,22 +603,14 @@ class LaurentPoly(ExpPoly):
 
     def star(self) -> "LaurentPoly":
         """The involution rho -> rho^{-1}."""
-        return _new(type(self), self.dim, {-n: c for n, c in self._packed.items()}, 0, self._den)
+        return _starred(self)
 
     def at_one(self) -> int | Fraction:
         """Specialize rho = 1; an ``int`` unless the sum of the coefficients is not."""
-        return _value(sum(self._packed.values()), self._den)
+        return _as_coefficient(Fraction(sum(self._packed.values()), self._den))
 
     def __repr__(self):
-        if not self._packed:
-            return "0"
-        parts = []
-        for (n,), c in sorted(self.terms.items()):
-            if n == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*rho^{n}" if c != 1 else f"rho^{n}")
-        return " + ".join(parts)
+        return _render(self.terms, lambda m, c: str(c) if not m[0] else f"rho^{m[0]}" if c == 1 else f"{c}*rho^{m[0]}")
 
 
 class QExpPoly:
@@ -666,17 +662,15 @@ class QExpPoly:
     def terms(self) -> Mapping[tuple, LaurentPoly]:
         """Read-only view from each exponent vector to its ``LaurentPoly`` coefficient, built on first read and kept.
 
-        Each coefficient takes the flat part's numerators over its ``den`` and is reduced on its own.
+        The flat part's decoded ``.terms`` grouped by their last field, rho.
         """
         try:
             return self._view
         except AttributeError:
             grouped = {}
-            for low, r, c in _rho_split(self.flat):
-                grouped.setdefault(low, {})[r] = c
-            unpack, den = _unpacker(self.dim), self.flat._den
-            view = {unpack(k): _new(LaurentPoly, 1, cs, 0, den) for k, cs in grouped.items()}
-            view = self._view = MappingProxyType(view)
+            for m, c in self.flat.terms.items():
+                grouped.setdefault(m[:-1], {})[m[-1]] = c
+            view = self._view = MappingProxyType({m: LaurentPoly(cs) for m, cs in grouped.items()})
             return view
 
     def __add__(self, other):
@@ -718,19 +712,10 @@ class QExpPoly:
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
-        flat, shift = self.flat, FIELD_BITS * self.dim
-        terms = {low - (r << shift): c for low, r, c in _rho_split(flat)}
-        return QExpPoly._of(_new(ExpPoly, flat.dim, terms, flat._b, flat._den))
+        return QExpPoly._of(_starred(self.flat))
 
     def __repr__(self):
-        if not self.flat:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            combo = " + ".join(f"{mi}*Z{i}" for i, mi in enumerate(m) if mi)
-            body = f"exp(({combo})/2)" if combo else "1"
-            parts.append(f"({c}) * {body}")
-        return " + ".join(parts)
+        return _render(self.terms, lambda m, c: f"({c}) * {_exp(m, 'Z') or 1}")
 
 
 def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:

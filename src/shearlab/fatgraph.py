@@ -124,10 +124,12 @@ def _table(sigma):
     return FatGraph._orbits(sigma)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FatGraph:
-    """Immutable trivalent ribbon graph with shear labels."""
+    """Immutable trivalent ribbon graph with shear labels: equal, and hashed, by both (tuple) fields."""
 
-    __slots__ = ("sigma", "z")
+    sigma: tuple
+    z: tuple
 
     def __init__(self, sigma, z):
         sigma, z = tuple(sigma), tuple(z)
@@ -149,9 +151,6 @@ class FatGraph:
             raise FatGraphError(f"expected {len(sigma) // 2} labels, got {len(z)}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FatGraph is immutable")
 
     # -- basic structure ---------------------------------------------------
 
@@ -175,14 +174,6 @@ class FatGraph:
         object.__setattr__(g, "sigma", self.sigma)
         object.__setattr__(g, "z", z)
         return g
-
-    def __eq__(self, other):
-        if not isinstance(other, FatGraph):
-            return NotImplemented
-        return self.sigma == other.sigma and self.z == other.z
-
-    def __hash__(self):
-        return hash((self.sigma, self.z))
 
     def __repr__(self):
         return f"FatGraph(sigma={list(self.sigma)}, z={list(self.z)})"

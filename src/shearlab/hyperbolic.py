@@ -107,15 +107,26 @@ def _float(x) -> float:
         raise HyperbolicError(f"entry {short_repr(x)} is too large for a float map") from None
 
 
+def _sqrt(x: Fraction) -> Fraction:
+    """A rational within a relative 2**-64 of the root of a rational ``x > 0``: ``isqrt`` of ``x d**2 4**k``."""
+    n, d = x.numerator, x.denominator
+    k = max(0, 65 - (n * d).bit_length() // 2)  # so the isqrt is at least 2**64
+    return Fraction(math.isqrt(n * d << 2 * k), d << k)
+
+
 def _past_float(*values) -> HyperbolicError:
     """The refusal of a float step that overflowed on exact input: it names the largest of the ``values`` it read."""
     return HyperbolicError(f"entry {short_repr(max(values, key=abs))} is past the float range")
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class MoebiusMap:
-    """Real 2x2 determinant-one matrix modulo global sign."""
+    """Immutable real 2x2 determinant-one matrix modulo global sign; unhashable, as its ``==`` is tolerant."""
 
-    __slots__ = ("a", "b", "c", "d")
+    a: object
+    b: object
+    c: object
+    d: object
 
     def __init__(self, a, b, c, d):
         a, b, c, d = (_real(x) for x in (a, b, c, d))
@@ -141,7 +152,8 @@ class MoebiusMap:
                 if x < 0:
                     a, b, c, d = -a, -b, -c, -d
                 break
-        self.a, self.b, self.c, self.d = a, b, c, d
+        for name, x in zip("abcd", (a, b, c, d)):
+            object.__setattr__(self, name, x)
 
     @property
     def trace(self):
@@ -189,39 +201,35 @@ class MoebiusMap:
         """Boundary fixed points (z_minus, z_plus) = ((a - d -+ root) / 2c); parabolic maps repeat one.
 
         With s = a - d + sgn(a - d) root they are s / 2c and -2b / s (Vieta), so neither cancels.
-        Each point is divided exactly and rounded once; one beyond the float range is infinity.
+        Each point is computed from the entries taken exactly (a float is an exact binary fraction), the
+        root within a relative 2**-64, and rounded once; one beyond the float range is infinity.
         """
         kind = self.classify()
         if kind == "elliptic":
             raise HyperbolicError("elliptic maps have no fixed points on the absolute")
         if kind == "identity":
             raise HyperbolicError("identity fixes every point")
-        a, b, c, d = self.entries()
-        if abs(c) <= _tol(c):
+        tiny_c = abs(self.c) <= _tol(self.c)
+        a, b, c, d = map(Fraction, self.entries())
+        if tiny_c:
             if kind == "parabolic":
                 return UhpPoint.infinity(), UhpPoint.infinity()
             return UhpPoint.infinity(), _boundary(b, d - a)
         if kind == "parabolic":
             return (_boundary(a - d, 2 * c),) * 2
-        try:
-            amd, disc = float(a - d), float(self.trace * self.trace - 4)
-        except OverflowError:
-            raise _past_float(a, d) from None
-        s = amd + math.copysign(math.sqrt(disc), amd)
-        if s == 0:  # a == d, and the exact discriminant rounds to 0.0
-            raise HyperbolicError(f"the discriminant of {short_repr(self)} is below the float range")
+        root = _sqrt((a + d) ** 2 - 4)
+        s = a - d + root if a >= d else a - d - root
         far, near = _boundary(s, 2 * c), _boundary(-2 * b, s)
         return (near, far) if s > 0 else (far, near)
 
     def translation_length(self) -> float:
-        """Geodesic translation length l with |Tr| = 2 cosh(l/2)."""
+        """Geodesic translation length l with |Tr| = 2 cosh(l/2), from the entries taken exactly and rounded once."""
         if self.classify() != "hyperbolic":
             raise HyperbolicError("translation length requires a hyperbolic map")
-        try:
-            trace = float(self.trace)
-        except OverflowError:
-            raise _past_float(self.a, self.d) from None
-        return 2.0 * math.acosh(abs(trace) / 2.0)
+        y = abs(Fraction(self.a) + Fraction(self.d)) / 2
+        t = y - 1 + _sqrt(y * y - 1)  # l/2 = acosh(y) = log1p(t), and neither term of t cancels the other
+        k = max(0, t.numerator.bit_length() - t.denominator.bit_length() - 1000)  # (1 + t) / 2**k fits a float
+        return 2.0 * (math.log((1 + t) / (1 << k)) + k * math.log(2) if k else math.log1p(t))
 
 
 def apply(m: MoebiusMap, z: UhpPoint) -> UhpPoint:

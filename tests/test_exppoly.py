@@ -272,6 +272,13 @@ def test_reprs_of_zero_and_of_exponential_terms():
     assert repr(LaurentPoly({0: 2, 1: -1, -2: 3})) == "3*rho^-2 + 2 + -1*rho^1"
     q = QExpPoly(2, {(1, 0): LaurentPoly({1: 2}), (0, 0): 1})
     assert repr(q) == "(1) * 1 + (2*rho^1) * exp((1*Z0)/2)"
+    # a unit coefficient at a nonzero power, a Fraction in each class, a rho-dependent constant term
+    assert repr(LaurentPoly({3: 1, -1: 1})) == "rho^-1 + rho^3"
+    assert repr(ExpPoly(2, {(0, 1): Fraction(-1, 3), (0, 0): Fraction(7, 4)})) == "7/4 + -1/3 * exp((1*z1)/2)"
+    assert repr(LaurentPoly({2: Fraction(5, 2), 0: Fraction(-1, 6)})) == "-1/6 + 5/2*rho^2"
+    assert repr(QExpPoly(1, {(2,): Fraction(1, 2)})) == "(1/2) * exp((2*Z0)/2)"
+    q = QExpPoly(2, {(0, 0): LaurentPoly({-1: 1, 2: 3}), (1, -1): LaurentPoly({0: Fraction(2, 3), 1: 1})})
+    assert repr(q) == "(rho^-1 + 3*rho^2) * 1 + (2/3 + rho^1) * exp((1*Z0 + -1*Z1)/2)"
 
 
 def test_quantum_negation():

@@ -415,6 +415,17 @@ def test_only_exppoly_reads_the_packed_terms():
                 assert node.attr != "_packed", f"{path.name}:{node.lineno} reads the packed term dict"
 
 
+def test_only_exppoly_terms_decodes_packed_keys():
+    readers = []
+    for scope in ast.walk(ast.parse((SRC / "exppoly.py").read_text())):
+        for fn in scope.body if isinstance(scope, (ast.Module, ast.ClassDef)) else ():
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Name) and node.id == "_unpacker" for node in ast.walk(fn)
+            ):
+                readers.append(f"{scope.name}.{fn.name}" if isinstance(scope, ast.ClassDef) else fn.name)
+    assert readers == ["ExpPoly.terms"]
+
+
 def test_the_terms_view_decodes_once(monkeypatch):
     calls = []
     unpacker = exppoly._unpacker

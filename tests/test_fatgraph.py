@@ -141,6 +141,9 @@ def test_immutability():
     g = once_punctured_torus()
     with pytest.raises(AttributeError):
         g.sigma = (0,) * 6
+    with pytest.raises(AttributeError):
+        g.z = (1.0, 2.0, 3.0)
+    assert g == once_punctured_torus()
 
 
 def test_equal_graphs_hash_equal():
@@ -174,9 +177,9 @@ def test_to_json_writes_fraction_labels_as_ints_or_floats():
 
 def test_a_graph_is_never_equal_to_a_foreign_operand():
     g = once_punctured_torus()
-    for other in ({"sigma": [2, 3, 4, 5, 0, 1], "z": [0, 0, 0]}, (g.sigma, g.z), None):
+    for other in ({"sigma": [2, 3, 4, 5, 0, 1], "z": [0, 0, 0]}, (g.sigma, g.z), None, 3):
         assert g.__eq__(other) is NotImplemented
-        assert g != other
+        assert g != other and (g == other) is False
 
 
 @settings(max_examples=60)

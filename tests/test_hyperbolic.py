@@ -349,12 +349,17 @@ def test_fixed_points_are_fixed_with_a_tiny_exact_c():
             assert apply(m, p).x == pytest.approx(p.x, rel=1e-9, abs=1e-12)
 
 
-def test_a_discriminant_below_the_float_range_is_refused():
-    eps = Fraction(1, 10**400)  # a = d = 1 + eps: trace 2 + 2 eps, discriminant 8 eps + 4 eps^2
+@pytest.mark.parametrize(
+    "eps, root", [(Fraction(1, 10**20), math.sqrt(2) * 1e-10), (Fraction(1, 10**400), math.sqrt(2) * 1e-200)],
+    ids=["1e-20", "1e-400"],
+)
+def test_a_map_near_the_parabolic_edge_has_its_length_and_fixed_points(eps, root):
+    # a = d = 1 + eps: trace 2 + 2 eps, discriminant 8 eps + 4 eps^2, which rounds to 0.0 at 1e-400; the fixed
+    # points -+ sqrt(2 eps + eps^2) and the length 2 acosh(1 + eps) are -+ root and 2 root to a relative O(eps)
     m = MoebiusMap(1 + eps, 2 * eps + eps * eps, 1, 1 + eps)
     assert m.classify() == "hyperbolic"
-    with pytest.raises(HyperbolicError, match="discriminant .* is below the float range"):
-        m.fixed_points()
+    assert [p.x for p in m.fixed_points()] == pytest.approx([-root, root], rel=1e-15)
+    assert m.translation_length() == pytest.approx(2 * root, rel=1e-15)
 
 
 _HUGE = "^entry " + re.escape(short_repr(Fraction(10**400))) + " is past the float range$"
@@ -363,16 +368,40 @@ _HUGE = "^entry " + re.escape(short_repr(Fraction(10**400))) + " is past the flo
 @pytest.mark.parametrize(
     "step",
     [
-        lambda: MoebiusMap(10**400, 0, 0, Fraction(1, 10**400)).translation_length(),
-        lambda: MoebiusMap(10**400, 0, 1, Fraction(1, 10**400)).fixed_points(),
         lambda: apply(MoebiusMap(1, 0, 10**400, 1), UhpPoint.boundary(0.5)),
         lambda: apply(MoebiusMap(1, 0, 10**400, 1), UhpPoint.interior(0, 1)),
     ],
-    ids=["translation-length", "fixed-points", "apply-boundary", "apply-interior"],
+    ids=["apply-boundary", "apply-interior"],
 )
 def test_a_float_step_past_the_float_range_names_the_entry(step):
     with pytest.raises(HyperbolicError, match=_HUGE):
         step()
+
+
+@pytest.mark.parametrize(
+    "step, want",
+    [
+        # 2 acosh(|tr| / 2) = 2 log(10**400) to within 10**-800
+        (lambda: MoebiusMap(10**400, 0, 0, Fraction(1, 10**400)).translation_length(), 800 * math.log(10)),
+        # the fixed points are 0 and 10**400 - 10**-400, past the float range
+        (lambda: MoebiusMap(10**400, 0, 1, Fraction(1, 10**400)).fixed_points(), (0.0, math.inf)),
+    ],
+    ids=["translation-length", "fixed-points"],
+)
+def test_a_huge_exact_entry_gives_its_exact_value_rounded(step, want):
+    got = step()
+    if isinstance(got, tuple):
+        got = tuple(math.inf if p.at_infinity else p.x for p in got)
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_a_map_is_immutable_and_unhashable():
+    m = MoebiusMap(2, 0, 0, 0.5)
+    with pytest.raises(AttributeError):
+        m.a = 7  # would leave determinant 3.5
+    assert m.entries() == (2.0, 0.0, 0.0, 0.5) and m == MoebiusMap(4.0, 0, 0, 1.0)
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 def test_exact_steps_on_huge_entries_stay_exact():
