@@ -62,9 +62,14 @@ bound, so ``qmul`` guards only the flat product's exponents and not the twist
 ``m^T omega n``.  ``coefficient`` looks the vector up in the ``.terms``
 view, so a vector outside the fields is simply absent.
 
-Exponents are plain ints; a float or a bool raises ``TypeError``.  ``.terms``
-is a read-only view keyed by exponent tuples, decoded on first read and kept.
-``ExpPoly.terms`` is the one decoder: ``QExpPoly.terms`` groups it by rho.
+Operands.  ``_check`` is the one rule for two ring operands: both in the ring,
+then of one dimension (``DimensionMismatch``), then of one exact class, so a
+one-edge ``ExpPoly`` and a ``LaurentPoly`` never combine; ``==`` compares the
+class too.  A scalar is an ``int`` or ``Fraction`` (``_as_coefficient``) and
+an exponent a plain int: a bool or float raises ``TypeError``.  ``dim`` and
+``flat`` are read-only.  ``.terms`` is a read-only view keyed by exponent
+tuples, decoded on first read and kept.  ``ExpPoly.terms`` is the one
+decoder: ``QExpPoly.terms`` groups it by rho.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import exp, gcd, lcm
 from numbers import Integral
-from operator import mul
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Iterable
 
@@ -96,7 +101,7 @@ def _as_coefficient(c) -> int | Fraction:
     """An exact coefficient: ``int`` for integral values (``Fraction(n, 1)`` too)."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and type(c) is not bool:
         return int(c)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
@@ -221,7 +226,7 @@ def _matrix(poly: "ExpPoly", dim: int):
         pass
     rows = [m[:dim] for m in poly.terms]
     bound = poly._b
-    if dim and dim == poly.dim:
+    if dim and dim == poly._dim:
         bound = max(bound, max((abs(m[-1]) for m in rows), default=0))
     bound = max(1, bound)
     M = np.array(rows, np.int64 if bound < _INT64 else object).reshape(len(rows), dim)
@@ -255,7 +260,7 @@ def _rho_split(flat: "ExpPoly"):
     Rho is the top field, above ``flat.dim - 1`` balanced ones: adding half a
     top-field unit makes the lower part non-negative, so the shift reads ``r``.
     """
-    shift = FIELD_BITS * (flat.dim - 1)
+    shift = FIELD_BITS * (flat._dim - 1)
     half = (1 << shift) >> 1
     for k, c in flat._packed.items():
         r = (k + half) >> shift
@@ -264,8 +269,8 @@ def _rho_split(flat: "ExpPoly"):
 
 def _starred(flat: "ExpPoly") -> "ExpPoly":
     """``flat`` with rho -> rho^{-1}: each key's top field negated, the whole key of a ``LaurentPoly``."""
-    shift = FIELD_BITS * (flat.dim - 1)
-    return _new(type(flat), flat.dim, {low - (r << shift): c for low, r, c in _rho_split(flat)}, flat._b, flat._den)
+    shift = FIELD_BITS * (flat._dim - 1)
+    return _new(type(flat), flat._dim, {low - (r << shift): c for low, r, c in _rho_split(flat)}, flat._b, flat._den)
 
 
 def _render(terms: Mapping, term) -> str:
@@ -279,12 +284,12 @@ def _exp(m: tuple, var: str) -> str:
     return f"exp(({combo})/2)" if combo else ""
 
 
-def _check(f, g, ring=None):
-    """Refuse a dimension mismatch and, given a ``ring`` class, an operand of another class (naming both)."""
-    if ring is not None and not (isinstance(f, ring) and isinstance(g, ring)):
+def _check(f, g, ring):
+    """The one operand rule: both ``ring`` instances, then one dimension, then one exact class (naming both)."""
+    if type(f) is not type(g) or not isinstance(f, ring) or f._dim != g._dim:
+        if isinstance(f, ring) and isinstance(g, ring) and f._dim != g._dim:
+            raise DimensionMismatch(f"dimensions {f._dim} and {g._dim} differ")
         raise TypeError(f"cannot combine {type(f).__name__} and {type(g).__name__} as {ring.__name__} operands")
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dimensions {f.dim} and {g.dim} differ")
 
 
 def _new(cls, dim: int, terms: dict, bound: int, den: int = 1):
@@ -300,7 +305,7 @@ def _new(cls, dim: int, terms: dict, bound: int, den: int = 1):
             den //= g
             terms = {k: n // g for k, n in terms.items()}
     out = object.__new__(cls)
-    out.dim = dim
+    out._dim = dim
     out._packed = terms
     out._b = bound
     out._den = den
@@ -364,10 +369,11 @@ class ExpPoly:
     """Finite map from integer exponent vectors to exact (int or Fraction) coefficients, stored over one ``_den``."""
 
     # _view, _plan and _mats are set on the first .terms, evaluate and pairing
-    __slots__ = ("dim", "_packed", "_b", "_den", "_view", "_plan", "_mats")
+    __slots__ = ("_dim", "_packed", "_b", "_den", "_view", "_plan", "_mats")
+    dim = property(attrgetter("_dim"))  # read-only: the kept views decode by it
 
     def __init__(self, dim: int, terms: Mapping[tuple, int | Fraction] | None = None):
-        self.dim = _dim(dim)
+        self._dim = _dim(dim)
         clean = {}
         bound = 0
         for m, c in (terms or {}).items():
@@ -403,7 +409,7 @@ class ExpPoly:
     def _scalar(self, c) -> "ExpPoly":
         """The constant ``c`` as an element of this type and dimension."""
         c = _as_coefficient(c)
-        return _new(type(self), self.dim, {0: c.numerator} if c else {}, 0, c.denominator)
+        return _new(type(self), self._dim, {0: c.numerator} if c else {}, 0, c.denominator)
 
     @property
     def terms(self) -> Mapping[tuple, int | Fraction]:
@@ -411,7 +417,7 @@ class ExpPoly:
         try:
             return self._view
         except AttributeError:
-            unpack, den = _unpacker(self.dim), self._den
+            unpack, den = _unpacker(self._dim), self._den
             if den == 1:
                 view = {unpack(k): n for k, n in self._packed.items()}
             else:
@@ -428,7 +434,7 @@ class ExpPoly:
         """
         if not isinstance(other, ExpPoly):
             other = self._scalar(other)
-        _check(self, other)
+        _check(self, other, ExpPoly)
         a, b = self._den, other._den
         if a == b:
             den, terms, right = a, dict(self._packed), other._packed.items()
@@ -443,7 +449,7 @@ class ExpPoly:
                 terms[k] = s
             else:
                 del terms[k]
-        return _new(type(self), self.dim, terms, max(self._b, other._b), den)
+        return _new(type(self), self._dim, terms, max(self._b, other._b), den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -452,7 +458,7 @@ class ExpPoly:
         return self.__add__(other)
 
     def __neg__(self):
-        return _new(type(self), self.dim, {k: -c for k, c in self._packed.items()}, self._b, self._den)
+        return _new(type(self), self._dim, {k: -c for k, c in self._packed.items()}, self._b, self._den)
 
     def __sub__(self, other):
         """The merge ``__add__`` makes, subtracting; the terms keep the order of ``self + (-other)``."""
@@ -466,8 +472,8 @@ class ExpPoly:
             c = _as_coefficient(other)
             n = c.numerator
             terms = {k: a * n for k, a in self._packed.items()} if n else {}
-            return _new(type(self), self.dim, terms, self._b, self._den * c.denominator)
-        _check(self, other)
+            return _new(type(self), self._dim, terms, self._b, self._den * c.denominator)
+        _check(self, other, ExpPoly)
         bound = _guard(self._b + other._b)
         terms = {}
         get = terms.get
@@ -480,17 +486,19 @@ class ExpPoly:
                     terms[k] = s
                 else:
                     del terms[k]
-        return _new(type(self), self.dim, terms, bound, self._den * other._den)
+        return _new(type(self), self._dim, terms, bound, self._den * other._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
-            if not isinstance(other, (int, Fraction)):
+            try:
+                other = self._scalar(other)
+            except TypeError:
                 return NotImplemented
-            other = self._scalar(other)
-        return self.dim == other.dim and self._den == other._den and self._packed == other._packed
+        same = type(self) is type(other) and self._dim == other._dim
+        return same and self._den == other._den and self._packed == other._packed
 
     def __bool__(self):
         return bool(self._packed)
@@ -520,8 +528,8 @@ class ExpPoly:
         anyway (a vector with an entry past 2**53 stays in ints, to convert or
         overflow only there).
         """
-        if len(z_values) != self.dim:
-            raise DimensionMismatch(f"expected {self.dim} values, got {len(z_values)}")
+        if len(z_values) != self._dim:
+            raise DimensionMismatch(f"expected {self._dim} values, got {len(z_values)}")
         try:
             floats, exact = self._plan
         except AttributeError:
@@ -546,16 +554,13 @@ class ExpPoly:
 def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
     """Edge-form Poisson bracket extended to exponentials by Leibniz, over the denominator ``4 d_f d_g``.
 
-    m^T omega n comes from the pairing rule ``_pairings``, as in ``qmul``: one
-    matrix product ``K = M omega N^T`` of both operands' kept exponent
-    matrices and omega's kept array, in int64 when ``dim**2 * max|M| *
-    max|omega| * max|N| < 2**63`` and exact otherwise, so a top-field exponent
-    of any size pairs exactly.  ``omega`` must be a ``dim x dim`` table of
-    integers, checked on every call; a bool, float or ``Fraction`` entry
-    raises ``TypeError``.
+    m^T omega n comes from the pairing rule ``_pairings``, as in ``qmul``, exact
+    for a top-field exponent of any size.  ``omega`` must be a ``dim x dim``
+    table of integers, checked on every call; a bool, float or ``Fraction``
+    entry raises ``TypeError``.
     """
     _check(f, g, ExpPoly)
-    pairings = _pairings(f, g, omega, f.dim)
+    pairings = _pairings(f, g, omega, f._dim)
     bound = _guard(f._b + g._b)
     right = list(g._packed.items())
     terms = {}
@@ -570,7 +575,7 @@ def poisson_bracket(f: ExpPoly, g: ExpPoly, omega) -> ExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return _new(type(f), f.dim, terms, bound, 4 * f._den * g._den)
+    return _new(type(f), f._dim, terms, bound, 4 * f._den * g._den)
 
 
 class LaurentPoly(ExpPoly):
@@ -619,7 +624,9 @@ class QExpPoly:
     Rho is the top field of each packed key, ``key(m) + r * 2**(FIELD_BITS * dim)``.
     """
 
-    __slots__ = ("flat", "_view")  # _view is set on the first read of .terms
+    __slots__ = ("_flat", "_dim", "_view")  # _view is set on the first read of .terms
+    flat = property(attrgetter("_flat"))  # read-only, like ExpPoly.dim: the kept view is built from it
+    dim = property(attrgetter("_dim"))  # the flat dimension less rho's field, kept for _check to read as a slot
 
     def __init__(self, dim: int, terms: Mapping[tuple, LaurentPoly] | None = None):
         dim = _dim(dim)
@@ -630,12 +637,14 @@ class QExpPoly:
                 c = LaurentPoly.const(c)
             for (r,), a in c.terms.items():
                 flat[m + (r,)] = a
-        self.flat = ExpPoly(dim + 1, flat)
+        self._flat = ExpPoly(dim + 1, flat)
+        self._dim = dim
 
     @classmethod
     def _of(cls, flat: ExpPoly) -> "QExpPoly":
         out = object.__new__(cls)
-        out.flat = flat
+        out._flat = flat
+        out._dim = flat._dim - 1
         return out
 
     @classmethod
@@ -652,11 +661,7 @@ class QExpPoly:
         ``f``'s top field becomes a lower field here.
         """
         _check(f, f, ExpPoly)
-        return cls(f.dim, f.terms)
-
-    @property
-    def dim(self) -> int:
-        return self.flat.dim - 1
+        return cls(f._dim, f.terms)
 
     @property
     def terms(self) -> Mapping[tuple, LaurentPoly]:
@@ -668,36 +673,36 @@ class QExpPoly:
             return self._view
         except AttributeError:
             grouped = {}
-            for m, c in self.flat.terms.items():
+            for m, c in self._flat.terms.items():
                 grouped.setdefault(m[:-1], {})[m[-1]] = c
             view = self._view = MappingProxyType({m: LaurentPoly(cs) for m, cs in grouped.items()})
             return view
 
     def __add__(self, other):
         _check(self, other, QExpPoly)
-        return QExpPoly._of(self.flat + other.flat)
+        return QExpPoly._of(self._flat + other._flat)
 
     def __neg__(self):
-        return QExpPoly._of(-self.flat)
+        return QExpPoly._of(-self._flat)
 
     def __sub__(self, other):
         _check(self, other, QExpPoly)
-        return QExpPoly._of(self.flat - other.flat)
+        return QExpPoly._of(self._flat - other._flat)
 
     def scale(self, c) -> "QExpPoly":
         """``self`` times the scalar ``c``, which ``__init__`` coerces to a ``LaurentPoly``."""
-        return QExpPoly._of(self.flat * QExpPoly.monomial((0,) * self.dim, c).flat)
+        return QExpPoly._of(self._flat * QExpPoly.monomial((0,) * self._dim, c)._flat)
 
     def __eq__(self, other):
         if not isinstance(other, QExpPoly):
             return NotImplemented
-        return self.flat == other.flat
+        return self._flat == other._flat
 
     def __bool__(self):
-        return bool(self.flat)
+        return bool(self._flat)
 
     def is_rho_free(self) -> bool:
-        return not any(r for _, r, _ in _rho_split(self.flat))
+        return not any(r for _, r, _ in _rho_split(self._flat))
 
     def coefficient(self, m: Iterable[int]) -> LaurentPoly:
         """The ``LaurentPoly`` coefficient of e^{m.Z/2}; ``LaurentPoly()`` if absent."""
@@ -705,14 +710,14 @@ class QExpPoly:
 
     def at_rho_one(self) -> ExpPoly:
         sums = {}
-        for low, _, c in _rho_split(self.flat):
+        for low, _, c in _rho_split(self._flat):
             sums[low] = sums.get(low, 0) + c
         terms = {k: c for k, c in sums.items() if c}
-        return _new(ExpPoly, self.dim, terms, self.flat._b, self.flat._den)
+        return _new(ExpPoly, self._dim, terms, self._flat._b, self._flat._den)
 
     def star(self) -> "QExpPoly":
         """Hermitean conjugate: coefficient-wise rho -> rho^{-1}."""
-        return QExpPoly._of(_starred(self.flat))
+        return QExpPoly._of(_starred(self._flat))
 
     def __repr__(self):
         return _render(self.terms, lambda m, c: f"({c}) * {_exp(m, 'Z') or 1}")
@@ -722,22 +727,20 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
     """Noncommutative product: the flat product with rho's exponent lowered by m^T omega n.
 
     m^T omega n comes from the pairing rule ``_pairings``, as in
-    ``poisson_bracket``: one matrix product of the flat parts' kept exponent
-    matrices over their first ``dim`` fields, so rho never enters it, and
-    omega's kept array, in int64 below the bound ``dim**2 * max|M| *
-    max|omega| * max|N| < 2**63`` and exact past it.  ``omega`` must be a
-    ``dim x dim`` table of integers, checked on every call.  Rho is the top
-    field, so the twist is one subtraction of ``(m^T omega n) *
-    2**(FIELD_BITS * dim)`` from the key; the bound is the flat product's.
+    ``poisson_bracket``, over the flat parts' first ``dim`` fields, so rho
+    never enters it.  ``omega`` must be a ``dim x dim`` table of integers,
+    checked on every call.  Rho is the top field, so the twist is one
+    subtraction of ``(m^T omega n) * 2**(FIELD_BITS * dim)`` from the key;
+    the bound is the flat product's.
     """
     _check(f, g, QExpPoly)
-    pairings = _pairings(f.flat, g.flat, omega, f.dim)
-    bound = _guard(f.flat._b + g.flat._b)
-    shift = FIELD_BITS * f.dim
-    right = list(g.flat._packed.items())
+    pairings = _pairings(f._flat, g._flat, omega, f._dim)
+    bound = _guard(f._flat._b + g._flat._b)
+    shift = FIELD_BITS * f._dim
+    right = list(g._flat._packed.items())
     terms = {}
     get = terms.get
-    for (km, a), ks in zip(f.flat._packed.items(), pairings):
+    for (km, a), ks in zip(f._flat._packed.items(), pairings):
         for (kn, b), k in zip(right, ks):
             key = km + kn
             if k:
@@ -747,7 +750,7 @@ def qmul(f: QExpPoly, g: QExpPoly, omega) -> QExpPoly:
                 terms[key] = s
             else:
                 del terms[key]
-    return QExpPoly._of(_new(ExpPoly, f.flat.dim, terms, bound, f.flat._den * g.flat._den))
+    return QExpPoly._of(_new(ExpPoly, f._flat._dim, terms, bound, f._flat._den * g._flat._den))
 
 
 def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
@@ -760,8 +763,8 @@ def classical_limit_commutator(f: QExpPoly, g: QExpPoly, omega) -> ExpPoly:
     _check(f, g, QExpPoly)
     if not (f.is_rho_free() and g.is_rho_free()):
         raise ValueError("classical limit requires rho-independent coefficients")
-    comm = (qmul(f, g, omega) - qmul(g, f, omega)).flat
+    comm = (qmul(f, g, omega) - qmul(g, f, omega))._flat
     sums = {}
     for low, r, c in _rho_split(comm):
         sums[low] = sums.get(low, 0) - r * c
-    return _new(ExpPoly, f.dim, {k: s for k, s in sums.items() if s}, comm._b, 8 * comm._den)
+    return _new(ExpPoly, f._dim, {k: s for k, s in sums.items() if s}, comm._b, 8 * comm._den)

@@ -8,7 +8,6 @@ uses one rule, ``_tol``: tolerance 0 for exact quantities, 1e-12 for floats.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass

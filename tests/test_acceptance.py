@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shearlab.exppoly import ExpPoly, LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
+from shearlab.exppoly import ExpPoly, LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket
 from shearlab.fatgraph import once_punctured_torus, tetrahedron
 from shearlab.flips import (
     check_commutation,
@@ -25,7 +25,6 @@ from shearlab.geodesics import (
     TORUS_HOLE,
     geodesic_function,
     goldman_check,
-    product_traces,
     random_closed_path,
     rmatrix_global_check,
     rmatrix_local_check,

@@ -2,7 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
@@ -237,18 +237,36 @@ def test_a_non_int_exponent_is_refused_not_truncated(make, named):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, got",
     [
-        lambda: ExpPoly(3, {(0, 0, 0): 0.5}),
-        lambda: ExpPoly.const(2, 0.5),
-        lambda: ExpPoly.monomial((1, 0, 0)) * 0.5,
-        lambda: LaurentPoly({0: 0.5}),
-        lambda: QExpPoly(2, {(0, 0): 0.5}),
+        (lambda: ExpPoly(3, {(0, 0, 0): 0.5}), "float"),
+        (lambda: ExpPoly.const(2, 0.5), "float"),
+        (lambda: ExpPoly.monomial((1, 0, 0)) * 0.5, "float"),
+        (lambda: LaurentPoly({0: 0.5}), "float"),
+        (lambda: QExpPoly(2, {(0, 0): 0.5}), "float"),
+        (lambda: ExpPoly(3, {(0, 0, 0): True}), "bool"),
+        (lambda: ExpPoly.const(2, True), "bool"),
+        (lambda: ExpPoly.monomial((1, 0, 0)) * True, "bool"),
+        (lambda: LaurentPoly({0: True}), "bool"),
+        (lambda: QExpPoly(2, {(0, 0): True}), "bool"),
+        (lambda: QExpPoly.monomial((1, 0)).scale(True), "bool"),
     ],
-    ids=["ExpPoly", "ExpPoly.const", "ExpPoly-times-float", "LaurentPoly", "QExpPoly"],
+    ids=[
+        "ExpPoly",
+        "ExpPoly.const",
+        "ExpPoly-times-float",
+        "LaurentPoly",
+        "QExpPoly",
+        "ExpPoly-bool",
+        "ExpPoly.const-bool",
+        "ExpPoly-times-bool",
+        "LaurentPoly-bool",
+        "QExpPoly-bool",
+        "QExpPoly.scale-bool",
+    ],
 )
-def test_a_coefficient_that_is_not_exact_is_refused(make):
-    with pytest.raises(TypeError, match="^coefficient must be an int or Fraction, got float$"):
+def test_a_coefficient_that_is_not_exact_is_refused(make, got):
+    with pytest.raises(TypeError, match=f"^coefficient must be an int or Fraction, got {got}$"):
         make()
 
 
@@ -293,9 +311,29 @@ def test_quantum_negation():
     ids=["ExpPoly", "QExpPoly", "LaurentPoly"],
 )
 def test_a_ring_element_is_never_equal_to_a_foreign_operand(f):
-    for other in ("x", None, 0.0, (1, 0, 0)):
+    for other in ("x", None, 0.0, (1, 0, 0), True):
         assert f.__eq__(other) is NotImplemented
         assert f != other
+
+
+def test_a_one_edge_exp_poly_and_a_laurent_poly_never_combine():
+    f, rho = ExpPoly.monomial((1,)), LaurentPoly.rho_power(1)
+    for a, b in ((f, rho), (rho, f)):
+        named = f"^cannot combine {type(a).__name__} and {type(b).__name__} as ExpPoly operands$"
+        for op in (add, sub, mul, lambda x, y: poisson_bracket(x, y, [[0]])):
+            with pytest.raises(TypeError, match=named):
+                op(a, b)
+        assert (a == b) is False and (a != b) is True
+
+
+def test_dim_and_flat_are_read_only():
+    f, q = ExpPoly.monomial((1, 0, 0), 2), QExpPoly.monomial((1, 0), 2)
+    with pytest.raises(AttributeError):
+        f.dim = 5
+    with pytest.raises(AttributeError):
+        q.flat = QExpPoly.monomial((0, 1), 5).flat
+    assert f.terms == {(1, 0, 0): 2} and f == ExpPoly.monomial((1, 0, 0), 2)
+    assert repr(q) == "(2) * exp((1*Z0)/2)" and q == QExpPoly.monomial((1, 0), 2)
 
 
 def _tetrahedron_operands():
