@@ -23,7 +23,8 @@ matrix ``omega``:
 Both read ``m^T omega n`` from one pairing rule, ``_pairings``: over all
 term pairs it is one integer matrix product ``K = M omega N^T`` of the
 exponent matrices ``M`` and ``N``, in int64 when a bound proves it cannot
-overflow and in numpy's exact object dtype otherwise.  ``omega`` must be a
+overflow and in numpy's exact object dtype otherwise.  It is the one part of
+the ring that uses numpy, imported on the first pairing.  ``omega`` must be a
 ``dim x dim`` table of integers (numpy ints pass; a bool, float or
 ``Fraction`` entry raises ``TypeError``).  ``M`` and ``N`` take the first
 ``dim`` fields of each vector, so in ``qmul`` rho never enters.  Each
@@ -76,6 +77,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
@@ -85,8 +87,6 @@ from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Iterable
 
-import numpy as np
-
 from .fatgraph import short_repr
 
 FIELD_BITS = 16  # each lower field decodes as a little-endian int16 ("h") in _unpacker
@@ -94,7 +94,7 @@ EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 _FLOAT = frozenset((float,))
 _INT = frozenset((int,))
 _INT64 = 1 << 63
-_ROWS = (list, tuple, np.ndarray, Sequence)  # what omega and each of its rows may be; the common types first
+_ROWS = (list, tuple, Sequence)  # what omega and each of its rows may be, and a numpy array once numpy is loaded
 
 
 def _as_coefficient(c) -> int | Fraction:
@@ -178,6 +178,11 @@ def _dim(dim) -> int:
     return dim
 
 
+def _rows(omega, dim: int, kinds: tuple) -> bool:
+    """Whether ``omega`` is a ``kinds`` instance of length ``dim`` whose items are all ``kinds`` instances."""
+    return isinstance(omega, kinds) and len(omega) == dim and all(map(isinstance, omega, repeat(kinds)))
+
+
 def _omega(omega, dim: int):
     """The read-only ``dim x dim`` array of ``omega`` and its largest ``|entry|`` (at least 1).
 
@@ -185,9 +190,12 @@ def _omega(omega, dim: int):
     drop or misread exponents.  An entry must be ``numbers.Integral`` but not
     a ``bool``: numpy ints pass, a float or ``Fraction`` is refused.  These
     checks run on every call, before the kept array is looked up by the
-    checked plain-int entries.
+    checked plain-int entries.  An array exists only once numpy is loaded, so
+    ``ndarray`` is read from ``sys.modules`` only if the ``_ROWS`` test fails.
     """
-    rows = isinstance(omega, _ROWS) and len(omega) == dim and all(map(isinstance, omega, repeat(_ROWS)))
+    rows = _rows(omega, dim, _ROWS)
+    if not rows and (np := sys.modules.get("numpy")) is not None:
+        rows = _rows(omega, dim, (*_ROWS, np.ndarray))
     if not (rows and {dim}.issuperset(map(len, omega))):
         raise DimensionMismatch(f"omega must be {dim} x {dim} for exponent vectors of length {dim}")
     entries = tuple(chain.from_iterable(omega))
@@ -202,6 +210,7 @@ def _omega(omega, dim: int):
 @functools.lru_cache(maxsize=16)
 def _omega_array(entries: tuple, dim: int):
     """``_omega``'s array of checked plain-int ``entries``, built once per table: int64 if each fits, else exact."""
+    import numpy as np
     w = max(1, max(map(abs, entries), default=0))
     W = np.array(entries, np.int64 if w < _INT64 else object).reshape(dim, dim)
     W.flags.writeable = False
@@ -224,6 +233,7 @@ def _matrix(poly: "ExpPoly", dim: int):
         poly._mats = {}
     except KeyError:
         pass
+    import numpy as np
     rows = [m[:dim] for m in poly.terms]
     bound = poly._b
     if dim and dim == poly._dim:
@@ -433,6 +443,8 @@ class ExpPoly:
         Equal denominators add as they are; otherwise both sides are rescaled to their lcm.
         """
         if not isinstance(other, ExpPoly):
+            if isinstance(other, QExpPoly):  # another ring's element meets the operand rule, not the scalar one
+                _check(self, other, ExpPoly)
             other = self._scalar(other)
         _check(self, other, ExpPoly)
         a, b = self._den, other._den
@@ -469,6 +481,8 @@ class ExpPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
+            if isinstance(other, QExpPoly):
+                _check(self, other, ExpPoly)
             c = _as_coefficient(other)
             n = c.numerator
             terms = {k: a * n for k, a in self._packed.items()} if n else {}
@@ -694,9 +708,12 @@ class QExpPoly:
         return QExpPoly._of(self._flat * QExpPoly.monomial((0,) * self._dim, c)._flat)
 
     def __eq__(self, other):
-        if not isinstance(other, QExpPoly):
+        if isinstance(other, QExpPoly):
+            return self._flat == other._flat
+        try:  # a scalar c is c rho^0 e^0, the constant of the flat part
+            return self._flat == self._flat._scalar(other)
+        except TypeError:
             return NotImplemented
-        return self._flat == other._flat
 
     def __bool__(self):
         return bool(self._flat)

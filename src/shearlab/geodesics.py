@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-import numpy as np
-
 from .exppoly import ExpPoly, _path_entries, poisson_bracket
 from .fatgraph import FatGraph, edge_of, once_punctured_torus, opposite, short_repr
 
@@ -245,18 +243,6 @@ def random_closed_path(g: FatGraph, rng, min_len: int = 2, max_len: int = 8, sta
 # -- Appendix-style R-matrix checks ------------------------------------------
 
 
-def _x_numeric(z: float) -> np.ndarray:
-    return np.array([[0.0, -np.exp(z / 2.0)], [np.exp(-z / 2.0), 0.0]])
-
-
-def _dx_numeric(z: float) -> np.ndarray:
-    return np.array([[0.0, -np.exp(z / 2.0) / 2.0], [-np.exp(-z / 2.0) / 2.0, 0.0]])
-
-
-_SIGN_TENSOR = np.diag([1.0, -1.0, -1.0, 1.0])
-_PERMUTATION_R = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
-)
 _RMATRIX_TOL = 1e-12
 
 
@@ -264,15 +250,22 @@ def rmatrix_local_check(z1: float, z4: float) -> dict:
     """{X_{z1} (x) X_{z4}} = -(1/4) (X (x) X) S for the crossing with {z1, z4} = -1.
 
     The derivative tensor dX/dz1 (x) dX/dz4 times the edge bracket -1 must
-    match -(1/4) kron(X, X) S entrywise.
+    match -(1/4) kron(X, X) S entrywise, with S = diag(1, -1, -1, 1).
     """
-    lhs = -1.0 * np.kron(_dx_numeric(z1), _dx_numeric(z4))
-    rhs = -0.25 * np.kron(_x_numeric(z1), _x_numeric(z4)) @ _SIGN_TENSOR
+    import numpy as np
+
+    def x(z: float, d: float):  # X_z for d = 1; dX_z/dz for d = -1/2, as d/dz e^{-z/2} = -e^{-z/2}/2
+        return np.array([[0.0, -np.exp(z / 2.0) * abs(d)], [np.exp(-z / 2.0) * d, 0.0]])
+
+    lhs = -1.0 * np.kron(x(z1, -0.5), x(z4, -0.5))
+    rhs = -0.25 * np.kron(x(z1, 1.0), x(z4, 1.0)) @ np.diag([1.0, -1.0, -1.0, 1.0])
     return float_report("rmatrix_local", np.max(np.abs(lhs - rhs)), _RMATRIX_TOL, z=[z1, z4], edge_bracket=-1)
 
 
-def rmatrix_global_check(A: np.ndarray, B: np.ndarray) -> dict:
-    """Tr1 Tr2[(A (x) B)(R - 1/2)] = Tr(AB) - (1/2) Tr A Tr B."""
-    lhs = np.trace(np.kron(A, B) @ (_PERMUTATION_R - 0.5 * np.eye(4)))
+def rmatrix_global_check(A, B) -> dict:
+    """Tr1 Tr2[(A (x) B)(R - 1/2)] = Tr(AB) - (1/2) Tr A Tr B for 2 x 2 arrays, with R the swap of the two factors."""
+    import numpy as np
+    R = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+    lhs = np.trace(np.kron(A, B) @ (R - 0.5 * np.eye(4)))
     rhs = np.trace(A @ B) - 0.5 * np.trace(A) * np.trace(B)
     return float_report("rmatrix_global", abs(lhs - rhs), _RMATRIX_TOL, lhs=float(lhs), rhs=float(rhs))

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-import numpy as np
-
 from .exppoly import LaurentPoly, QExpPoly, classical_limit_commutator, poisson_bracket, qmul
 from .fatgraph import FatGraph, short_repr
 from .geodesics import float_report, geodesic_function, graph_simple, product_traces
@@ -182,6 +180,7 @@ class QDilogParams:
 @functools.lru_cache(maxsize=2)
 def _quadrature(h: float, decay: float, nodes: int) -> tuple:
     """Read-only (node gaps, -i p, sinh(pi p) sinh(pi p h)) of the phi_hbar grid for ``h`` and ``decay``."""
+    import numpy as np
     p_max = 40.0 / decay
     t = np.linspace(-p_max, p_max, nodes + 1)
     p = t + 1j * (0.5 * min(1.0, 1.0 / h))
@@ -232,6 +231,7 @@ def phi_hbar(z: complex, params: QDilogParams) -> complex:
     decay = edge - abs(z.imag)
     if decay <= 0:
         raise QuantumError(f"|Im z| = {abs(z.imag)} >= pi(1+hbar) = {edge}")
+    import numpy as np
     gaps, neg_ip, den = _quadrature(h, decay, params.nodes)
     with np.errstate(all="ignore"):
         y = np.exp(neg_ip * z) / den
