@@ -28,12 +28,13 @@ the ring that uses numpy, imported on the first pairing.  ``omega`` must be a
 ``dim x dim`` table of integers (numpy ints pass; a bool, float or
 ``Fraction`` entry raises ``TypeError``).  ``M`` and ``N`` take the first
 ``dim`` fields of each vector, so in ``qmul`` rho never enters.  Each
-operand keeps its read-only matrix per ``dim`` (``_matrix``), as it keeps
-its ``.terms`` view, and each table ``omega`` has one kept read-only array
-(``_omega_array``).  ``omega`` is still checked on every call, and the
-array is keyed on the checked entries, all plain ints by then: a key
-never holds ``True``, ``1.0`` or ``Fraction(1)``, which hash and compare
-like ``1``, so a refused table can never read the array of an accepted one.
+operand keeps its read-only matrix per ``dim`` (``_matrix``), read from the
+packed keys and not from ``.terms``, so a pairing decodes no view, and each
+table ``omega`` has one kept read-only array (``_omega_array``).  ``omega``
+is still checked on every call, and the array is keyed on the checked
+entries, all plain ints by then: a key never holds ``True``, ``1.0`` or
+``Fraction(1)``, which hash and compare like ``1``, so a refused table can
+never read the array of an accepted one.
 
 Keeping exponents in half-units makes every identity exact over Q and
 Z[rho, rho^-1].
@@ -130,18 +131,23 @@ def _pack(m: tuple) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _unpacker(dim: int):
-    """The decoder from a packed key to its exponent tuple, for ``dim`` fields.
+def _layout(dim: int) -> tuple:
+    """``(bits, offset, low)`` of a ``dim``-field key (``dim >= 1``): its lower fields' width, offset and mask.
 
-    Adding ``EXPONENT_LIMIT`` to each lower field makes it non-negative with
-    no borrow, so the top field is what lies above them; flipping each lower
-    field's sign bit then leaves the int16 bytes of the field itself.
+    Adding ``offset``, ``EXPONENT_LIMIT`` per lower field, makes each lower
+    field non-negative with no borrow, so ``(key + offset) >> bits`` is the top
+    field; ``^ offset`` then ``& low`` leaves the lower fields' int16 bytes.
     """
+    bits = FIELD_BITS * (dim - 1)
+    return bits, sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(dim - 1)), (1 << bits) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _unpacker(dim: int):
+    """The decoder from a packed key to its exponent tuple, for ``dim`` fields laid out by ``_layout``."""
     if not dim:
         return lambda key: ()
-    bits = FIELD_BITS * (dim - 1)
-    offset = sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(dim - 1))
-    low = (1 << bits) - 1
+    bits, offset, low = _layout(dim)
     fields = struct.Struct(f"<{dim - 1}h")
     size, read = fields.size, fields.unpack
 
@@ -220,12 +226,12 @@ def _omega_array(entries: tuple, dim: int):
 def _matrix(poly: "ExpPoly", dim: int):
     """The read-only matrix of the first ``dim`` fields of ``poly``'s exponents, and a bound (at least 1) on them.
 
-    ``poly._b`` bounds the lower fields; the unbounded top field, if among
-    them, is read.  The matrix is int64 when the bound fits and exact
-    otherwise.  It is built on the first call for each ``dim`` and kept on
-    ``poly``, like ``.terms``: a quantum element's flat part is read at its
-    ``dim - 1`` lower fields by ``qmul`` and may be read at ``dim`` by
-    ``poisson_bracket``.
+    It is read from the packed keys, never from ``.terms``: the lower fields
+    of all keys as one buffer of ``_layout``'s int16 bytes, and the unbounded
+    top field, only when ``dim == poly.dim`` (the bracket), by one shift per
+    key.  ``poly._b`` bounds the lower fields.  The matrix is int64 when the
+    bound fits and exact otherwise, and is kept on ``poly`` per ``dim``
+    (``qmul`` reads a flat part at ``dim - 1``, ``poisson_bracket`` at ``dim``).
     """
     try:
         return poly._mats[dim]
@@ -234,12 +240,17 @@ def _matrix(poly: "ExpPoly", dim: int):
     except KeyError:
         pass
     import numpy as np
-    rows = [m[:dim] for m in poly.terms]
-    bound = poly._b
-    if dim and dim == poly._dim:
-        bound = max(bound, max((abs(m[-1]) for m in rows), default=0))
-    bound = max(1, bound)
-    M = np.array(rows, np.int64 if bound < _INT64 else object).reshape(len(rows), dim)
+    top = 0 < dim == poly._dim
+    # below poly.dim, the first dim fields are the lower fields of a (dim + 1)-field layout
+    bits, offset, low = _layout(dim if top else dim + 1)
+    keys, size = poly._packed, bits // 8
+    raw = b"".join([(((k + offset) ^ offset) & low).to_bytes(size, "little") for k in keys])
+    tops = [(k + offset) >> bits for k in keys] if top else ()
+    bound = max(1, poly._b, *map(abs, tops))
+    M = np.empty((len(keys), dim), np.int64 if bound < _INT64 else object)
+    M[:, : bits // FIELD_BITS] = np.frombuffer(raw, "<i2").reshape(len(keys), bits // FIELD_BITS)
+    if top:
+        M[:, -1] = tops
     M.flags.writeable = False
     poly._mats[dim] = M, bound
     return M, bound

@@ -79,9 +79,9 @@ def graph_simple(path) -> bool:
 
 
 # -- 2x2 matrices over ExpPoly ------------------------------------------------
-# Nothing in src/ calls mat_mul, mat_inv, mat_det or mat_eq (pair_traces forms
-# its traces directly).  Keep them: the tests check pair_traces against them,
-# and the benchmark tracer wraps geodesics.mat_mul by name.
+# Nothing in src/ calls mat_mul, mat_inv, mat_det or mat_eq (_product_traces
+# forms its traces directly).  Keep them: the tests check pair_traces against
+# them, and the benchmark tracer wraps geodesics.mat_mul by name.
 
 
 def mat_mul(A, B):
@@ -135,11 +135,10 @@ def geodesic_function(g: FatGraph, path) -> ExpPoly:
     return mat_trace(path_matrix(g, path))
 
 
-def pair_traces(g: FatGraph, p, q) -> tuple:
-    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the path matrices P, Q; each word compiles once.
+def _product_traces(P, Q) -> tuple:
+    """(Tr PQ, Tr PQ^-1) of two path matrices, in 6 ring products rather than the 16 of two full products.
 
-    Only the two product traces are formed, in 6 ring products rather than the
-    16 of two full matrix products.  With X = P01 Q10 + P10 Q01,
+    With X = P01 Q10 + P10 Q01,
 
         Tr PQ    = P00 Q00 + P11 Q11 + X,
         Tr PQ^-1 = P00 Q11 + P11 Q00 - X,
@@ -148,15 +147,21 @@ def pair_traces(g: FatGraph, p, q) -> tuple:
     is not taken as Tr P Tr Q - Tr PQ: that is the skein relation itself, which
     skein_check would then confirm by construction.
     """
-    (p00, p01), (p10, p11) = path_matrix(g, p)
-    (q00, q01), (q10, q11) = path_matrix(g, q)
+    (p00, p01), (p10, p11) = P
+    (q00, q01), (q10, q11) = Q
     x = p01 * q10 + p10 * q01
-    return p00 + p11, q00 + q11, p00 * q00 + p11 * q11 + x, p00 * q11 + p11 * q00 - x
+    return p00 * q00 + p11 * q11 + x, p00 * q11 + p11 * q00 - x
+
+
+def pair_traces(g: FatGraph, p, q) -> tuple:
+    """(Tr P, Tr Q, Tr PQ, Tr PQ^-1) for the path matrices P, Q; each word compiles once."""
+    P, Q = path_matrix(g, p), path_matrix(g, q)
+    return mat_trace(P), mat_trace(Q), *_product_traces(P, Q)
 
 
 def product_traces(g: FatGraph, p, q):
-    """(Tr(PQ), Tr(PQ^-1)) for the path matrices of the two words."""
-    return pair_traces(g, p, q)[2:]
+    """(Tr(PQ), Tr(PQ^-1)) for the path matrices of the two words; Tr P and Tr Q are never formed."""
+    return _product_traces(path_matrix(g, p), path_matrix(g, q))
 
 
 # -- identity checks ----------------------------------------------------------

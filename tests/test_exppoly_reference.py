@@ -598,3 +598,68 @@ def test_one_operand_keeps_its_matrices_across_omegas_and_dims(top):
     assert exppoly._matrix(flat, dim) is kept and exppoly._matrix(flat, dim + 1) is whole
     assert kept[0].dtype == np.int64 and [m[:dim] for m in flat.terms] == list(map(tuple, kept[0].tolist()))
     assert list(map(tuple, whole[0].tolist())) == list(flat.terms)
+
+
+# -- exponent matrices read from the packed keys -----------------------------------------
+
+
+def _ref_matrix(poly, dim):
+    """The matrix and its bound as built from the decoded ``.terms``: int64 when the bound fits, else exact."""
+    rows = [m[:dim] for m in poly.terms]
+    tops = [abs(m[-1]) for m in rows] if 0 < dim == poly.dim else []
+    bound = max(1, poly._b, *tops)
+    return np.array(rows, np.int64 if bound < 2**63 else object).reshape(len(rows), dim), bound
+
+
+def _same_matrix(poly, dim):
+    (M, bound), (ref, ref_bound) = exppoly._matrix(poly, dim), _ref_matrix(poly, dim)
+    assert bound == ref_bound and M.dtype == ref.dtype and M.shape == ref.shape and not M.flags.writeable
+    assert list(map(tuple, M.tolist())) == [m[:dim] for m in poly.terms]
+    # an exact matrix holds plain ints, which cannot wrap in the pairing product
+    assert M.dtype != object or {type(x) for x in M.flat} <= {int}
+
+
+def _seeded_elements(rng):
+    """Seeded ``ExpPoly`` elements of dims 0-7, ``LaurentPoly`` ones and ``QExpPoly`` flat parts of dims 1-7."""
+    for dim in range(8):
+        for n in (0, 1, 6):
+            exponents = (tuple(rng.randint(-3000, 3000) for _ in range(dim)) for _ in range(n))
+            yield ExpPoly(dim, {m: rng.choice((-2, 1, Fraction(1, 3))) for m in exponents})
+    for n in (0, 1, 4):
+        yield LaurentPoly({rng.randint(-9, 9): rng.choice((-1, 2)) for _ in range(n)})
+    for dim in range(7):
+        yield _seeded_q(rng, dim, 5).flat
+
+
+def test_the_matrix_is_read_from_the_packed_keys():
+    for poly in _seeded_elements(random.Random(3101)):
+        for dim in range(poly.dim + 1):
+            _same_matrix(poly, dim)
+
+
+@pytest.mark.parametrize("top", [EXPONENT_LIMIT, 2**40, 2**63 - 1, 2**63, 10**30])
+def test_the_matrix_reads_the_field_edges(top):
+    """Lower fields at +-(2**15 - 1), top fields past int16, at the int64 edge and past 2**63."""
+    edge = EXPONENT_LIMIT - 1
+    f = ExpPoly(3, {(edge, -edge, top): 1, (-edge, edge, -top): 2, (edge, 0, -1): 3, (0, 0, 0): 1})
+    q = QExpPoly(2, {(edge, -edge): LaurentPoly({top: 1, -top: 2}), (-edge, 0): LaurentPoly({1: 1})})
+    for poly in (f, q.flat):
+        for dim in range(4):
+            _same_matrix(poly, dim)
+        # qmul's lower fields stay int64; the bracket's top field is exact past 2**63
+        assert exppoly._matrix(poly, 2)[0].dtype == np.int64
+        assert exppoly._matrix(poly, 3)[0].dtype == (object if top >= 2**63 else np.int64)
+
+
+def test_pairings_on_fresh_operands_decode_no_terms():
+    rng = random.Random(3102)
+    dim = 6
+    omega = _omega(dim)
+    a, b, c = (_seeded_q(rng, dim, n) for n in (2, 7, 7))
+    ab, bc = qmul(a, b, omega), qmul(b, c, omega)
+    abc = qmul(ab, bc, omega)
+    f, g = ab.at_rho_one(), bc.at_rho_one()
+    brackets = [poisson_bracket(f * g, g, omega), poisson_bracket(ab.flat, abc.flat, _omega(dim + 1))]
+    assert dim in ab.flat._mats and dim + 1 in abc.flat._mats and dim in g._mats  # every pairing read its matrices
+    for x in [ab, bc, abc, f, g, *brackets]:
+        assert not hasattr(x, "_view") and not hasattr(getattr(x, "flat", x), "_view")
